@@ -24,6 +24,7 @@ from .core import (
     DegenerateVectorError,
     DimensionMismatchError,
     InsufficientDataError,
+    NonFiniteSampleError,
     OpCounter,
     RankZeroError,
     RngState,
@@ -67,6 +68,7 @@ __all__ = [
     "EmptyDatasetError",
     "InsufficientDataError",
     "MalformedFileError",
+    "NonFiniteSampleError",
     "OjaState",
     "OpCounter",
     "RankZeroError",

@@ -28,6 +28,7 @@ from .batch import EigenSpace
 from .core import (
     DegenerateVectorError,
     DimensionMismatchError,
+    NonFiniteSampleError,
     OpCounter,
     RngState,
     SampleStore,
@@ -95,15 +96,22 @@ class AdaptiveState:
         )
 
 
+def _finite_sample(x) -> np.ndarray:
+    v = _as_vector(x)
+    if not np.all(np.isfinite(v)):
+        raise NonFiniteSampleError("sample has NaN or infinite entries")
+    return v
+
+
 def initialize(x1, x2, config: AdaptiveConfig) -> AdaptiveState:
     """Start a stream from its first two time-steps.
 
-    The single initial component is the normalized difference
-    (x2 - x1) / ||x2 - x1||. Identical first samples are an error; the
-    caller should supply the next distinct time-step as x2.
+    The single initial component is (x2 - x1) / ||x2 - x1||. Identical
+    first samples are an error (supply the next distinct time-step as
+    x2), and so are non-finite samples (NonFiniteSampleError).
     """
-    a = _as_vector(x1)
-    b = _as_vector(x2)
+    a = _finite_sample(x1)
+    b = _finite_sample(x2)
     if a.shape[0] != b.shape[0]:
         raise DimensionMismatchError(
             f"first samples disagree in length: {a.shape[0]} vs {b.shape[0]}"
@@ -169,17 +177,16 @@ def ingest(state: AdaptiveState, x_new) -> AdaptiveState:
     fully deflated workspace becomes the trailing component. A residual
     below ``degenerate_tol`` is dropped and logged in
     ``state.degenerate_events`` as (time-step, component position); the
-    space regrows on later steps.
+    space regrows on later steps. A sample with NaN or infinite entries
+    raises NonFiniteSampleError and leaves the state untouched.
     """
-    x = _as_vector(x_new)
+    x = _finite_sample(x_new)
     if x.shape[0] != state.dim:
         raise DimensionMismatchError(
             f"sample has {x.shape[0]} elements, stream carries {state.dim}-vectors"
         )
-    cfg = state.config
-    n = state.n
     state.store.append(x)
-    indices = sample_indices(n, cfg.processing_limit, state.rng)
+    indices = sample_indices(state.n, state.config.processing_limit, state.rng)
     return _ingest_with_indices(state, indices)
 
 

@@ -4,14 +4,13 @@ For n samples in d dimensions with n << d, the d x d covariance
 eigenproblem is equivalent to the n x n Gram eigenproblem: if
 X^T X u = mu u then X u is an (unnormalized) covariance eigenvector with
 eigenvalue mu / (n - 1). This module computes the full spectrum that way,
-using a self-contained cyclic Jacobi solver, and serves as the reference
-every streaming estimate is measured against.
+with LAPACK's symmetric eigensolver, and serves as the reference every
+streaming estimate is measured against.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,6 +62,13 @@ class EigenSpace:
         return self.components.shape[0]
 
 
+def _centered_matrix(store: SampleStore, centered: bool) -> np.ndarray:
+    x = store.matrix()
+    if centered:
+        x = x - x.mean(axis=1, keepdims=True)
+    return x
+
+
 def gram(store: SampleStore, centered: bool = False) -> np.ndarray:
     """n x n matrix of pairwise sample inner products.
 
@@ -71,86 +77,32 @@ def gram(store: SampleStore, centered: bool = False) -> np.ndarray:
     """
     if store.count < 2:
         raise InsufficientDataError(f"need at least 2 samples, have {store.count}")
-    x = store.matrix()
-    if centered:
-        x = x - x.mean(axis=1, keepdims=True)
+    x = _centered_matrix(store, centered)
     g = x.T @ x
-    upper = np.triu(g)
-    return upper + np.triu(g, 1).T
+    return np.triu(g) + np.triu(g, 1).T
 
 
-def sym_eig(m, tol: float = 0.0, max_sweeps: int = 100):
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi.
+def sym_eig(m):
+    """Full eigendecomposition of a symmetric matrix by LAPACK ``eigh``.
 
-    Returns (eigenvalues, eigenvectors) with eigenvalues sorted descending
-    and eigenvectors as the corresponding columns of an orthonormal matrix.
-    Sweeps of plane rotations run until the off-diagonal Frobenius norm
-    falls to max(tol, 1e-12 * ||m||_F), which keeps the reconstruction
-    residual ||m - Q diag(w) Q^T||_max at or below max(tol, 1e-9 * ||m||_max)
-    for any order up to a few thousand.
-
-    Raises ConvergenceError after ``max_sweeps`` sweeps, reporting the
-    final off-diagonal norm.
+    Returns (eigenvalues, eigenvectors): eigenvalues sorted descending and
+    eigenvectors as the matching columns of an orthonormal matrix. Raises
+    ValueError for a non-finite or asymmetric matrix and ConvergenceError
+    when LAPACK does not converge.
     """
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries")
     scale = float(np.max(np.abs(a))) if a.size else 0.0
     if float(np.max(np.abs(a - a.T))) > 1e-9 * max(1.0, scale):
         raise ValueError("matrix is not symmetric within 1e-9")
-    n = a.shape[0]
-    a = (a + a.T) / 2.0
-    q = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), q
-
-    def off_norm(mat):
-        off = mat.copy()
-        np.fill_diagonal(off, 0.0)
-        return float(np.linalg.norm(off))
-
-    target = max(tol, 1e-12 * math.sqrt(float((a**2).sum())))
-    for _ in range(max_sweeps):
-        if off_norm(a) <= target:
-            break
-        for p in range(n - 1):
-            for r in range(p + 1, n):
-                apr = float(a[p, r])
-                if apr == 0.0:
-                    continue
-                h = float(a[r, r] - a[p, p])
-                if abs(h) + 100.0 * abs(apr) == abs(h):
-                    # pivot negligible next to the diagonal gap
-                    t = apr / h
-                else:
-                    theta = h / (2.0 * apr)
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_r = a[:, r].copy()
-                a[:, p] = c * col_p - s * col_r
-                a[:, r] = s * col_p + c * col_r
-                row_p = a[p, :].copy()
-                row_r = a[r, :].copy()
-                a[p, :] = c * row_p - s * row_r
-                a[r, :] = s * row_p + c * row_r
-                a[p, r] = 0.0
-                a[r, p] = 0.0
-                q_p = q[:, p].copy()
-                q[:, p] = c * q_p - s * q[:, r]
-                q[:, r] = s * q_p + c * q[:, r]
-    else:
-        final = off_norm(a)
-        if final > target:
-            raise ConvergenceError(
-                f"Jacobi sweeps did not converge after {max_sweeps} sweeps "
-                f"(off-diagonal norm {final:.3e}, target {target:.3e})",
-                final,
-            )
-    eigenvalues = a.diagonal().copy()
-    order = np.argsort(eigenvalues)[::-1]
-    return eigenvalues[order], q[:, order]
+    try:
+        w, q = np.linalg.eigh((a + a.T) / 2.0)
+    except np.linalg.LinAlgError as err:
+        raise ConvergenceError(f"eigh did not converge: {err}") from err
+    return w[::-1], q[:, ::-1]
 
 
 def dual_pca(store: SampleStore, centered: bool = False, rank_tol: float = 1e-10) -> EigenSpace:
@@ -170,10 +122,7 @@ def dual_pca(store: SampleStore, centered: bool = False, rank_tol: float = 1e-10
         raise RankZeroError("all Gram eigenvalues fall below the rank tolerance")
     mu = mu[keep]
     u = u[:, keep]
-    x = store.matrix()
-    if centered:
-        x = x - x.mean(axis=1, keepdims=True)
-    primal = x @ u
+    primal = _centered_matrix(store, centered) @ u
     primal /= np.linalg.norm(primal, axis=0, keepdims=True)
     return EigenSpace(
         dim=store.dim,

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .adaptive import AdaptiveConfig, OjaState, oja_update, run_adaptive
-from .batch import EigenSpace, dual_pca
+from .batch import EigenSpace, _centered_matrix, dual_pca
 from .core import SampleStore, StreamPcaError, normalize
 from .data import (
     GENERATORS,
@@ -121,8 +121,7 @@ def load_dataset(cfg: ExperimentConfig) -> tuple[SampleStore, DatasetMeta]:
     else:
         raise ValueError(f"unknown dataset kind {kind!r}")
     if cfg.centered:
-        x = store.matrix()
-        store = SampleStore.from_matrix(x - x.mean(axis=1, keepdims=True))
+        store = SampleStore.from_matrix(_centered_matrix(store, True))
     return store, meta
 
 

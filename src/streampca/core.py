@@ -39,11 +39,11 @@ class DegenerateDataError(StreamPcaError):
 
 
 class ConvergenceError(StreamPcaError):
-    """Iterative solver did not reach its tolerance."""
+    """Eigensolver did not converge."""
 
-    def __init__(self, message: str, off_diagonal_norm: float):
-        super().__init__(message)
-        self.off_diagonal_norm = off_diagonal_norm
+
+class NonFiniteSampleError(StreamPcaError):
+    """A sample holds NaN or infinite entries."""
 
 
 def _as_vector(x) -> np.ndarray:

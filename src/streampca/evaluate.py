@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import EigenSpace, sym_eig
+from .batch import EigenSpace, _centered_matrix
 from .core import DegenerateDataError, DimensionMismatchError, SampleStore
 
 
@@ -51,13 +51,6 @@ class EigenfunctionMatrix:
     @property
     def step_count(self) -> int:
         return self.values.shape[1]
-
-
-def _centered_matrix(store: SampleStore, centered: bool) -> np.ndarray:
-    x = store.matrix()
-    if centered:
-        x = x - x.mean(axis=1, keepdims=True)
-    return x
 
 
 def explained_variance(
@@ -128,15 +121,15 @@ def eigenfunctions(space: EigenSpace, store: SampleStore) -> EigenfunctionMatrix
 
 
 def subspace_overlap(a: EigenSpace, b: EigenSpace, k: int) -> float:
-    """Mean squared singular value of the top-k cross-projection matrix.
+    """Mean squared singular value of the top-k cross-projection matrix M.
 
-    Equals 1 exactly when the leading k-dimensional spans coincide and 0
-    when they are orthogonal.
+    That is ||M||_F^2 / k, the trace of M M^T over k. Equals 1 exactly
+    when the leading k-dimensional spans coincide and 0 when they are
+    orthogonal.
     """
     if a.dim != b.dim:
         raise DimensionMismatchError(f"space dims differ: {a.dim} vs {b.dim}")
     if k < 1 or k > len(a) or k > len(b):
         raise ValueError(f"k={k} exceeds a component count ({len(a)}, {len(b)})")
     m = a.components[:k] @ b.components[:k].T
-    sigma_sq, _ = sym_eig(m @ m.T)
-    return float(np.clip(sigma_sq, 0.0, None).mean())
+    return float((m**2).sum()) / k

@@ -38,8 +38,13 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 
 def _angle(u, v) -> float:
-    c = min(1.0, abs(float(np.dot(u, v)) / (np.linalg.norm(u) * np.linalg.norm(v))))
-    return math.acos(c)
+    # 2 asin(|a - b| / 2) on sign-aligned unit vectors; acos(|cos|) cannot
+    # resolve angles below ~1.5e-8, where the cosine rounds to 1.0
+    a = np.asarray(u, dtype=np.float64) / np.linalg.norm(u)
+    b = np.asarray(v, dtype=np.float64) / np.linalg.norm(v)
+    if float(np.dot(a, b)) < 0.0:
+        b = -b
+    return 2.0 * math.asin(min(1.0, float(np.linalg.norm(a - b)) / 2.0))
 
 
 @pytest.fixture(scope="module")

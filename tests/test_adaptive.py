@@ -7,6 +7,7 @@ from streampca import (
     AdaptiveConfig,
     DegenerateVectorError,
     DimensionMismatchError,
+    NonFiniteSampleError,
     OjaState,
     RngState,
     SampleStore,
@@ -118,6 +119,14 @@ class TestInitialize:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             initialize([1, 0], [1, 0, 0], AdaptiveConfig(space_limit=5, processing_limit=5))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        cfg = AdaptiveConfig(space_limit=5, processing_limit=5)
+        with pytest.raises(NonFiniteSampleError):
+            initialize([bad, 0.0], [1.0, 1.0], cfg)
+        with pytest.raises(NonFiniteSampleError):
+            initialize([1.0, 0.0], [1.0, bad], cfg)
 
 
 class TestUpdateComponent:
@@ -241,6 +250,37 @@ class TestIngest:
         state = initialize([1.0, 0.0], [0.0, 1.0], AdaptiveConfig(space_limit=4, processing_limit=4))
         with pytest.raises(DimensionMismatchError):
             ingest(state, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_leaves_state_unchanged(self, bad):
+        # stochastic regime, so an untouched generator is checked as well
+        data = RngState(71).gaussian((10, 12))
+        cfg = AdaptiveConfig(space_limit=4, processing_limit=3, seed=5)
+        state = initialize(data[:, 0], data[:, 1], cfg)
+        reference = initialize(data[:, 0], data[:, 1], cfg)
+        for j in range(2, 8):
+            ingest(state, data[:, j])
+            ingest(reference, data[:, j])
+        n = state.n
+        count = state.store.count
+        components = [v.copy() for v in state.components]
+        log = list(state.counter.per_step_log)
+        poisoned = data[:, 8].copy()
+        poisoned[3] = bad
+        with pytest.raises(NonFiniteSampleError):
+            ingest(state, poisoned)
+        assert state.n == n
+        assert state.store.count == count
+        assert len(state.components) == len(components)
+        assert all(np.array_equal(a, b) for a, b in zip(state.components, components))
+        assert state.counter.per_step_log == log
+        for j in range(8, 12):
+            ingest(state, data[:, j])
+            ingest(reference, data[:, j])
+        assert state.n == reference.n == 12
+        assert state.counter.per_step_log == reference.counter.per_step_log
+        for va, vb in zip(state.components, reference.components):
+            assert np.array_equal(va, vb)
 
     def test_limited_mode_caps_components(self):
         data = RngState(61).gaussian((30, 25))

@@ -1,11 +1,14 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import streampca
 from streampca.cli import main
 
 
@@ -384,10 +387,15 @@ class TestErrors:
 
 
 def test_console_entry_point_runs():
+    # the child imports the same package as this process, also when pytest
+    # put src/ on sys.path itself (pyproject's pythonpath) rather than PYTHONPATH
+    src = str(Path(streampca.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "streampca.cli", "--help"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "compare" in proc.stdout
