@@ -19,6 +19,7 @@ A single-component Oja baseline is included for comparison.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -134,7 +135,7 @@ def initialize(x1, x2, config: AdaptiveConfig) -> AdaptiveState:
     )
 
 
-def update_component(v, new_index: int, indices, workspace, counter: OpCounter | None = None):
+def update_component(v, previous, new):
     """One raw component update against the deflated workspace.
 
     Implements
@@ -142,28 +143,24 @@ def update_component(v, new_index: int, indices, workspace, counter: OpCounter |
         v~ = v + sum_j <v, x~_j> <x~_j, x~_new>^2 x~_j
                + <v, x~_new> ((sum_j <x~_j, x~_new>) + <x~_new, x~_new>)^2 x~_new
 
-    with j running over ``indices`` into ``workspace`` (columns are the
-    deflated samples) and ``new_index`` the column of the new time-step.
+    with x~_j the columns of ``previous`` (the deflated previous samples
+    entering this step) and x~_new the deflated new time-step ``new``.
     Previous samples are reweighted by their squared correlation with the
     new sample; the new sample's weight squares the total correlation it
     carries. With the full index set the squared single sum equals the
     expanded double sum over all pairs of correlations, so this is the
     cheaper of the two equivalent forms.
 
-    The result is NOT normalized. Inner products consumed:
-    2 * len(indices) + 2, tallied in ``counter`` when given.
+    The result is NOT normalized. It costs 2 * previous.shape[1] + 2 inner
+    products; ``ingest`` charges them with the rest of its step.
     """
     vec = _as_vector(v)
-    w = np.asarray(workspace, dtype=np.float64)
-    idx = np.asarray(indices, dtype=np.intp)
-    xs = w[:, idx]
-    xn = w[:, new_index]
+    xs = np.asarray(previous, dtype=np.float64)
+    xn = _as_vector(new)
     scores = vec @ xs
     corrs = xs.T @ xn
     new_score = float(vec @ xn)
     self_corr = float(xn @ xn)
-    if counter is not None:
-        counter.add(2 * idx.shape[0] + 2)
     weight = (float(corrs.sum()) + self_corr) ** 2
     return vec + xs @ (scores * corrs**2) + new_score * weight * xn
 
@@ -171,75 +168,66 @@ def update_component(v, new_index: int, indices, workspace, counter: OpCounter |
 def ingest(state: AdaptiveState, x_new) -> AdaptiveState:
     """Advance the stream by one time-step, updating the state in place.
 
-    The new sample joins the store, a fresh deflation workspace is built
-    from the (sampled) previous columns plus the new one, every maintained
-    component is updated and re-normalized, and the summed residual of the
-    fully deflated workspace becomes the trailing component. A residual
-    below ``degenerate_tol`` is dropped and logged in
-    ``state.degenerate_events`` as (time-step, component position); the
-    space regrows on later steps. A sample with NaN or infinite entries
-    raises NonFiniteSampleError and leaves the state untouched.
+    A deflation workspace is built from the (sampled) previous columns
+    plus the new sample, every maintained component is updated and
+    re-normalized, and the summed residual of the fully deflated workspace
+    becomes the trailing component. A residual below ``degenerate_tol`` is
+    dropped and logged in ``state.degenerate_events`` as (time-step,
+    component position); the space regrows on later steps. The state
+    changes only once the whole step has succeeded, so any raised error
+    leaves it as it was.
     """
     x = _finite_sample(x_new)
     if x.shape[0] != state.dim:
         raise DimensionMismatchError(
             f"sample has {x.shape[0]} elements, stream carries {state.dim}-vectors"
         )
-    state.store.append(x)
-    indices = sample_indices(state.n, state.config.processing_limit, state.rng)
-    return _ingest_with_indices(state, indices)
-
-
-def _ingest_with_indices(state: AdaptiveState, indices) -> AdaptiveState:
-    """Deterministic core of ingest, after the sample set is fixed.
-
-    ``state.store`` must already hold the new sample in its last column;
-    ``indices`` selects the previous columns entering this step. Kept
-    separate so the sampling policy and the arithmetic can be tested
-    independently: identical index sets give bit-identical states.
-    """
     cfg = state.config
-    counter = state.counter
     n = state.n
+    rng = copy.copy(state.rng)
+    indices = sample_indices(n, cfg.processing_limit, rng)
     k = len(indices)
     # workspace columns: the sampled previous steps, then the new step
-    w = state.store.matrix(columns=list(indices) + [n])
-    local_idx = np.arange(k)
-    updated = min(min(n, cfg.space_limit) - 1, len(state.components))
+    w = np.column_stack((state.store.matrix(columns=indices), x))
+    components = list(state.components)
+    updated = min(min(n, cfg.space_limit) - 1, len(components))
     for i in range(updated):
-        v = state.components[i]
-        vt = update_component(v, k, local_idx, w, counter)
+        v = components[i]
+        vt = update_component(v, w[:, :k], w[:, k])
         vnew = vt + float(vt @ v) * v
-        counter.add(1)
         if cfg.reorthogonalize:
-            for m in range(i):
-                prev = state.components[m]
+            for prev in components[:i]:
                 vnew = vnew - float(vnew @ prev) * prev
-            counter.add(i)
         nrm = math.sqrt(float(vnew @ vnew))
-        counter.add(1)
         if nrm <= cfg.degenerate_tol:
             raise DegenerateVectorError(
                 f"component {i + 1} degenerated at time-step {n + 1}"
             )
         vnew = vnew / nrm
-        state.components[i] = vnew
+        components[i] = vnew
         w -= np.outer(vnew, vnew @ w)
-        counter.add(k + 1)
     residual = w.sum(axis=1)
     nrm = math.sqrt(float(residual @ residual))
-    counter.add(1)
     position = min(n, cfg.space_limit)
-    if nrm <= cfg.degenerate_tol:
-        state.degenerate_events.append((n + 1, position))
-    else:
+    degenerate = nrm <= cfg.degenerate_tol
+    if not degenerate:
         residual = residual / nrm
-        if len(state.components) < position:
-            state.components.append(residual)
+        if len(components) < position:
+            components.append(residual)
         else:
-            state.components[position - 1] = residual
+            components[position - 1] = residual
+    # commit. Per updated component i: 2k + 2 in update_component, 1 for the
+    # share, i to reorthogonalize, 1 for the norm, k + 1 to deflate; 1 for the residual
+    state.counter.add(
+        sum(3 * k + 5 + (i if cfg.reorthogonalize else 0) for i in range(updated)) + 1
+    )
+    state.store.append(x)
+    if degenerate:
+        state.degenerate_events.append((n + 1, position))
+    state.components = components
+    state.rng = rng
     state.n = n + 1
-    counter.mark_step(state.n)
+    state.counter.mark_step(state.n)
     return state
 
 
@@ -277,8 +265,8 @@ class OjaState:
 
 
 def oja_update(state: OjaState, x_new) -> OjaState:
-    """One Oja step on a new sample; returns a fresh state."""
-    x = _as_vector(x_new)
+    """One Oja step on a new sample; returns a fresh state. NaN/Inf raise NonFiniteSampleError."""
+    x = _finite_sample(x_new)
     v = state.component
     if x.shape[0] != v.shape[0]:
         raise DimensionMismatchError(

@@ -87,15 +87,16 @@ def sym_eig(m):
 
     Returns (eigenvalues, eigenvectors): eigenvalues sorted descending and
     eigenvectors as the matching columns of an orthonormal matrix. Raises
-    ValueError for a non-finite or asymmetric matrix and ConvergenceError
-    when LAPACK does not converge.
+    DimensionMismatchError for an empty or non-square input, ValueError
+    for a non-finite or asymmetric matrix and ConvergenceError when LAPACK
+    does not converge.
     """
     a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise DimensionMismatchError(f"expected a non-empty square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
+    scale = float(np.max(np.abs(a)))
     if float(np.max(np.abs(a - a.T))) > 1e-9 * max(1.0, scale):
         raise ValueError("matrix is not symmetric within 1e-9")
     try:

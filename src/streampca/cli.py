@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -73,17 +75,9 @@ class ExperimentConfig:
                 raise ValueError("stochastic mode needs at least one seed")
 
     def as_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "mode": self.mode,
-            "space_limit": self.space_limit,
-            "processing_limit": self.processing_limit,
-            "runs": self.runs,
-            "seeds": list(self.seeds),
-            "centered": self.centered,
-            "learning_rate": self.learning_rate,
-            "components": list(self.components),
-        }
+        record = asdict(self)
+        del record["output_dir"]
+        return record
 
 
 def _parse_seeds(text: str) -> list:
@@ -131,7 +125,7 @@ def _print_order(meta: DatasetMeta) -> None:
         print(f"  {f}")
 
 
-def _adaptive_config(cfg: ExperimentConfig, store: SampleStore, seed: int, stochastic: bool) -> AdaptiveConfig:
+def _adaptive_config(cfg: ExperimentConfig, store: SampleStore, seed=0, stochastic=False) -> AdaptiveConfig:
     n = store.count
     space = min(store.dim, n) if cfg.mode == "adaptive-full" else cfg.space_limit
     if stochastic:
@@ -139,10 +133,6 @@ def _adaptive_config(cfg: ExperimentConfig, store: SampleStore, seed: int, stoch
     else:
         limit = n
     return AdaptiveConfig(space_limit=space, processing_limit=limit, seed=seed)
-
-
-def _deterministic_limit(cfg: ExperimentConfig, store: SampleStore) -> AdaptiveConfig:
-    return _adaptive_config(cfg, store, seed=0, stochastic=False)
 
 
 def _oja_curve(store: SampleStore, learning_rate: float) -> CurveSeries:
@@ -178,25 +168,20 @@ def _write_meta(path: Path, meta: DatasetMeta, cfg: ExperimentConfig, extra: dic
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
-class _RunArtifacts:
-    """Tracks written files so a failed run leaves nothing behind."""
+def _publish(out_dir: Path, write) -> list:
+    """Publish one run's artifacts in ``out_dir`` all at once or not at all.
 
-    def __init__(self, out_dir: Path):
-        self.out_dir = out_dir
-        self.paths: list[Path] = []
-
-    def path(self, name: str) -> Path:
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        p = self.out_dir / name
-        self.paths.append(p)
-        return p
-
-    def discard(self) -> None:
-        for p in self.paths:
-            try:
-                p.unlink()
-            except FileNotFoundError:
-                pass
+    ``write(staging)`` writes them into a scratch directory inside
+    ``out_dir``; each is renamed into place only after it returns, so a
+    failed run leaves ``out_dir`` as it was. Returns the published paths.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=".staging-", dir=out_dir) as tmp:
+        write(Path(tmp))
+        names = sorted(os.listdir(tmp))
+        for name in names:
+            os.replace(os.path.join(tmp, name), out_dir / name)
+    return [out_dir / name for name in names]
 
 
 def run_compare(cfg: ExperimentConfig) -> dict:
@@ -213,7 +198,7 @@ def run_compare(cfg: ExperimentConfig) -> dict:
     curves.append(batch_curve)
 
     if cfg.mode in ("adaptive-full", "adaptive-limited", "adaptive-stochastic"):
-        det_state = run_adaptive(store, _deterministic_limit(cfg, store))
+        det_state = run_adaptive(store, _adaptive_config(cfg, store))
         det_curve = explained_variance(det_state.eigenspace(), store, label="adaptive")
         det_curve.centered = cfg.centered
         curves.append(det_curve)
@@ -236,19 +221,19 @@ def run_compare(cfg: ExperimentConfig) -> dict:
         curve.centered = cfg.centered
         curves.append(curve)
 
-    artifacts = _RunArtifacts(cfg.output_dir)
-    try:
-        _write_curves_csv(artifacts.path("curves.csv"), curves)
-        gaps = {}
-        gap_lines = []
-        for c in curves[1:]:
-            gap = curve_gap(batch_curve, c)
-            m = min(len(batch_curve), len(c))
-            gaps[c.label] = gap
-            gap_lines.append(f"{c.label} vs batch: {_fmt(gap)} pp (first {m} components)")
-        artifacts.path("gap.txt").write_text("\n".join(gap_lines) + "\n")
+    gaps = {}
+    gap_lines = []
+    for c in curves[1:]:
+        gap = curve_gap(batch_curve, c)
+        m = min(len(batch_curve), len(c))
+        gaps[c.label] = gap
+        gap_lines.append(f"{c.label} vs batch: {_fmt(gap)} pp (first {m} components)")
+
+    def write(staging: Path) -> None:
+        _write_curves_csv(staging / "curves.csv", curves)
+        (staging / "gap.txt").write_text("\n".join(gap_lines) + "\n")
         _write_meta(
-            artifacts.path("meta.json"),
+            staging / "meta.json",
             meta,
             cfg,
             {
@@ -257,10 +242,8 @@ def run_compare(cfg: ExperimentConfig) -> dict:
                 "wall_time_s": time.perf_counter() - t0,
             },
         )
-    except BaseException:
-        artifacts.discard()
-        raise
-    return {"curves": curves, "gaps": gaps, "paths": artifacts.paths}
+
+    return {"curves": curves, "gaps": gaps, "paths": _publish(cfg.output_dir, write)}
 
 
 def run_eigenfunctions(cfg: ExperimentConfig) -> dict:
@@ -269,7 +252,7 @@ def run_eigenfunctions(cfg: ExperimentConfig) -> dict:
     store, meta = load_dataset(cfg)
     cfg.validate(store.count)
     if cfg.mode in ("adaptive-full", "adaptive-limited"):
-        space = run_adaptive(store, _deterministic_limit(cfg, store)).eigenspace()
+        space = run_adaptive(store, _adaptive_config(cfg, store)).eigenspace()
     else:
         space = dual_pca(store, centered=False)
     wanted = cfg.components or [1]
@@ -279,20 +262,16 @@ def run_eigenfunctions(cfg: ExperimentConfig) -> dict:
                 f"component {c} out of range; the space has {len(space)} components"
             )
     funcs = eigenfunctions(space, store)
-    artifacts = _RunArtifacts(cfg.output_dir)
-    try:
-        lines = ["t," + ",".join(f"f{c}" for c in wanted)]
-        for t in range(funcs.step_count):
-            cells = [str(t + 1)] + [_fmt(funcs.values[c - 1, t]) for c in wanted]
-            lines.append(",".join(cells))
-        artifacts.path("eigenfunctions.csv").write_text("\n".join(lines) + "\n")
-        _write_meta(
-            artifacts.path("meta.json"), meta, cfg, {"wall_time_s": time.perf_counter() - t0}
-        )
-    except BaseException:
-        artifacts.discard()
-        raise
-    return {"paths": artifacts.paths, "values": funcs}
+    lines = ["t," + ",".join(f"f{c}" for c in wanted)]
+    for t in range(funcs.step_count):
+        cells = [str(t + 1)] + [_fmt(funcs.values[c - 1, t]) for c in wanted]
+        lines.append(",".join(cells))
+
+    def write(staging: Path) -> None:
+        (staging / "eigenfunctions.csv").write_text("\n".join(lines) + "\n")
+        _write_meta(staging / "meta.json", meta, cfg, {"wall_time_s": time.perf_counter() - t0})
+
+    return {"paths": _publish(cfg.output_dir, write), "values": funcs}
 
 
 def run_counters(cfg: ExperimentConfig) -> dict:
@@ -308,14 +287,14 @@ def run_counters(cfg: ExperimentConfig) -> dict:
     cfg.validate(store.count)
     seed = cfg.seeds[0] if cfg.seeds else 0
     state = run_adaptive(store, _adaptive_config(cfg, store, seed, stochastic))
-    artifacts = _RunArtifacts(cfg.output_dir)
-    try:
-        lines = ["step,dot_products"]
-        for step, count in state.counter.per_step_log:
-            lines.append(f"{step},{count}")
-        artifacts.path("counters.csv").write_text("\n".join(lines) + "\n")
+    lines = ["step,dot_products"]
+    for step, count in state.counter.per_step_log:
+        lines.append(f"{step},{count}")
+
+    def write(staging: Path) -> None:
+        (staging / "counters.csv").write_text("\n".join(lines) + "\n")
         _write_meta(
-            artifacts.path("meta.json"),
+            staging / "meta.json",
             meta,
             cfg,
             {
@@ -323,29 +302,24 @@ def run_counters(cfg: ExperimentConfig) -> dict:
                 "wall_time_s": time.perf_counter() - t0,
             },
         )
-    except BaseException:
-        artifacts.discard()
-        raise
-    return {"paths": artifacts.paths, "log": state.counter.per_step_log}
+
+    return {"paths": _publish(cfg.output_dir, write), "log": state.counter.per_step_log}
 
 
 def run_synth_dump(cfg: ExperimentConfig, dtype: str, byte_order: str) -> dict:
     """Write a synthetic dataset as raw volume files plus a manifest."""
     store, meta = load_dataset(cfg)
-    artifacts = _RunArtifacts(cfg.output_dir)
-    try:
-        paths = save_raw_volumes(
-            store, cfg.output_dir, element_type=dtype, byte_order=byte_order, scale=True
+
+    def write(staging: Path) -> None:
+        raws = save_raw_volumes(
+            store, staging, element_type=dtype, byte_order=byte_order, scale=True
         )
-        artifacts.paths.extend(paths)
-        manifest = artifacts.path("manifest.txt")
-        manifest.write_text("\n".join(p.name for p in paths) + "\n")
-        _write_meta(artifacts.path("meta.json"), meta, cfg, {"dtype": dtype})
-    except BaseException:
-        artifacts.discard()
-        raise
-    print(f"wrote {len(paths)} time-steps to {cfg.output_dir}")
-    return {"paths": artifacts.paths}
+        (staging / "manifest.txt").write_text("\n".join(p.name for p in raws) + "\n")
+        _write_meta(staging / "meta.json", meta, cfg, {"dtype": dtype})
+
+    paths = _publish(cfg.output_dir, write)
+    print(f"wrote {store.count} time-steps to {cfg.output_dir}")
+    return {"paths": paths}
 
 
 def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
@@ -371,15 +345,11 @@ def _dataset_from_args(args) -> dict:
     if sum(chosen) != 1:
         raise ValueError("choose exactly one of --synth, --volumes, --frames-dir")
     if args.synth:
-        params = {}
-        if args.rank is not None:
-            params["rank"] = args.rank
-        if args.sigma is not None:
-            params["sigma"] = args.sigma
-        if args.speed is not None:
-            params["speed"] = args.speed
-        if args.decay is not None:
-            params["decay"] = args.decay
+        params = {
+            key: getattr(args, key)
+            for key in ("rank", "sigma", "speed", "decay")
+            if getattr(args, key) is not None
+        }
         return {
             "kind": "synth",
             "generator": args.synth,

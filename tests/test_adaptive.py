@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from streampca import (
     AdaptiveConfig,
@@ -20,7 +22,6 @@ from streampca import (
     run_adaptive,
     update_component,
 )
-from streampca.adaptive import _ingest_with_indices
 
 from conftest import FIXTURE_D, FIXTURE_N, FIXTURE_SEED
 
@@ -101,6 +102,19 @@ def oracle_stream(samples, space_limit, processing_limit, reorthogonalize=True, 
     return basis, events
 
 
+def _snapshot(state):
+    """Everything a streaming step may change, in bit-comparable form."""
+    return (
+        state.n,
+        state.store.matrix().tobytes(),
+        [v.tobytes() for v in state.components],
+        state.counter.dot_products,
+        list(state.counter.per_step_log),
+        state.rng._state,
+        list(state.degenerate_events),
+    )
+
+
 class TestInitialize:
     def test_direct_substitution(self):
         state = initialize([1, 0], [1, 1], AdaptiveConfig(space_limit=5, processing_limit=5))
@@ -140,28 +154,20 @@ class TestUpdateComponent:
             ]
         )
         v = np.array([0.0, 1.0, 0.0])
-        vt = update_component(v, new_index=1, indices=[0], workspace=w)
+        vt = update_component(v, w[:, :1], w[:, 1])
         assert np.array_equal(vt, v)
 
     def test_empty_index_set(self):
         w = np.array([[2.0], [1.0]])
         v = np.array([1.0, 0.0])
-        vt = update_component(v, new_index=0, indices=[], workspace=w)
+        vt = update_component(v, w[:, :0], w[:, 0])
         # v + <v,x> <x,x>^2 x with x=(2,1): 2 * 25 * (2,1) = (100,50)
         assert np.array_equal(vt, [101.0, 50.0])
 
     def test_line_formula_by_hand(self):
         w = np.array([[1.0, 1.0], [0.0, 1.0]])
-        vt = update_component([0.0, 1.0], new_index=1, indices=[0], workspace=w)
+        vt = update_component([0.0, 1.0], w[:, :1], w[:, 1])
         assert np.array_equal(vt, [9.0, 10.0])
-
-    def test_counter_consumption(self):
-        from streampca import OpCounter
-
-        counter = OpCounter()
-        w = RngState(5).gaussian((6, 4))
-        update_component(w[:, 0] / np.linalg.norm(w[:, 0]), 3, [0, 1, 2], w, counter)
-        assert counter.dot_products == 2 * 3 + 2
 
 
 class TestIngest:
@@ -203,19 +209,6 @@ class TestIngest:
         )
         gap = curve_gap(batch, adaptive)
         assert gap == pytest.approx(FIXTURE_GAP_PP, abs=1e-8)
-
-    def test_index_override_is_bit_identical(self):
-        # same index set, either branch: identical arithmetic
-        data = RngState(23).gaussian((7, 9))
-        cfg = AdaptiveConfig(space_limit=9, processing_limit=9)
-        a = initialize(data[:, 0], data[:, 1], cfg)
-        b = initialize(data[:, 0], data[:, 1], cfg)
-        for j in range(2, 9):
-            ingest(a, data[:, j])
-            b.store.append(data[:, j])
-            _ingest_with_indices(b, np.arange(b.n))
-        for va, vb in zip(a.components, b.components):
-            assert np.array_equal(va, vb)
 
     def test_deterministic_branch_is_seed_independent(self):
         data = RngState(31).gaussian((12, 10))
@@ -281,6 +274,59 @@ class TestIngest:
         assert state.counter.per_step_log == reference.counter.per_step_log
         for va, vb in zip(state.components, reference.components):
             assert np.array_equal(va, vb)
+
+    def test_degenerate_step_leaves_state_unchanged(self):
+        # the first component collapses to norm 2 against a tolerance of 2.5
+        cfg = AdaptiveConfig(space_limit=5, processing_limit=5, degenerate_tol=2.5)
+        state = initialize([0.0, 0.0, 0.0], [10.0, 0.0, 0.0], cfg)
+        reference = initialize([0.0, 0.0, 0.0], [10.0, 0.0, 0.0], cfg)
+        before = _snapshot(state)
+        with pytest.raises(DegenerateVectorError):
+            ingest(state, [0.0, 1e-3, 0.0])
+        assert _snapshot(state) == before
+        ingest(state, [3.0, 4.0, 0.0])
+        ingest(reference, [3.0, 4.0, 0.0])
+        assert state.n == 3
+        assert _snapshot(state) == _snapshot(reference)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        dim=st.integers(2, 6),
+        steps=st.integers(3, 14),
+        space=st.integers(1, 6),
+        processing=st.integers(1, 8),
+        tol=st.floats(0.0, 4.0),
+        scale=st.floats(0.01, 1.0),
+    )
+    def test_each_ingest_commits_one_step_or_nothing(
+        self, seed, dim, steps, space, processing, tol, scale
+    ):
+        # a component update has norm >= 2, so tolerances above 2 reject
+        # the steps whose (scaled-down) sample barely correlates with it
+        data = RngState(seed).gaussian((dim, steps))
+        data[:, 2:] *= scale
+        assume(np.linalg.norm(data[:, 1] - data[:, 0]) > tol)
+        cfg = AdaptiveConfig(
+            space_limit=space, processing_limit=processing, degenerate_tol=tol, seed=seed
+        )
+        state = initialize(data[:, 0], data[:, 1], cfg)
+        for j in range(2, steps):
+            before = _snapshot(state)
+            try:
+                ingest(state, data[:, j])
+            except DegenerateVectorError:
+                assert _snapshot(state) == before
+            else:
+                n, stored, _, _, log, _, events = before
+                assert state.n == state.store.count == n + 1
+                assert state.store.matrix()[:, :n].tobytes() == stored
+                assert np.array_equal(state.store[n], data[:, j])
+                assert state.counter.per_step_log[:-1] == log
+                assert state.counter.per_step_log[-1][0] == n + 1
+                assert state.degenerate_events[: len(events)] == events
+                assert len(state.degenerate_events) - len(events) in (0, 1)
+            assert sum(c for _, c in state.counter.per_step_log) == state.counter.dot_products
 
     def test_limited_mode_caps_components(self):
         data = RngState(61).gaussian((30, 25))
@@ -367,6 +413,12 @@ class TestOja:
         assert np.allclose(out.component, expected, atol=1e-15)
         assert abs(out.component[0] - 0.9486832980505138) <= 1e-12
         assert abs(out.component[1] - 0.31622776601683794) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_sample(self, bad):
+        state = OjaState(component=np.array([1.0, 0.0]), learning_rate=0.1)
+        with pytest.raises(NonFiniteSampleError):
+            oja_update(state, [bad, 1.0])
 
     def test_unit_norm_enforced(self):
         with pytest.raises(ValueError):

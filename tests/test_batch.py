@@ -111,6 +111,10 @@ class TestSymEig:
         with pytest.raises(ValueError):
             sym_eig([[0.0, 1.0], [0.0, 0.0]])
 
+    def test_rejects_empty_matrix(self):
+        with pytest.raises(DimensionMismatchError, match="non-empty square matrix"):
+            sym_eig(np.empty((0, 0)))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite(self, bad):
         m = np.eye(3)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import streampca
+from streampca import cli
 from streampca.cli import main
 
 
@@ -351,6 +352,57 @@ class TestSynthDump:
         assert rc == 0
         batch = _column(run_out / "curves.csv", "batch")
         assert abs(batch[-1] - 1.0) <= 1e-9
+
+
+class TestNoPartialArtifacts:
+    def test_failed_compare_keeps_earlier_artifacts(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        argv = [
+            "compare",
+            "--synth", "lowrank",
+            "--d", "30",
+            "--n", "12",
+            "--rank", "3",
+            "--mode", "adaptive-full",
+            "--out", str(out),
+        ]
+        assert main(argv + ["--seed", "1"]) == 0
+        earlier = (out / "curves.csv").read_bytes()
+        staged = []
+
+        def failing_meta(path, *args):
+            staged.extend(sorted(p.name for p in path.parent.iterdir()))
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "_write_meta", failing_meta)
+        assert main(argv + ["--seed", "2"]) == 1
+        assert staged == ["curves.csv", "gap.txt"]
+        assert (out / "curves.csv").read_bytes() == earlier
+        assert not list(out.glob(".staging-*"))
+
+    def test_failed_synth_dump_publishes_no_raw_files(self, tmp_path, monkeypatch):
+        original = cli.save_raw_volumes
+
+        def failing_save(*args, **kwargs):
+            written = original(*args, **kwargs)
+            assert written and all(p.exists() for p in written)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "save_raw_volumes", failing_save)
+        out = tmp_path / "dump"
+        rc = main(
+            [
+                "synth-dump",
+                "--synth", "rotating_blob",
+                "--d", "36",
+                "--n", "5",
+                "--seed", "2",
+                "--out", str(out),
+            ]
+        )
+        assert rc == 1
+        assert not list(out.glob("step_*.raw"))
+        assert not list(out.glob(".staging-*"))
 
 
 class TestErrors:
