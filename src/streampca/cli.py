@@ -41,6 +41,7 @@ from .data import (
 from .evaluate import CurveSeries, curve_gap, eigenfunctions, explained_variance, mean_curve
 
 MODES = ("batch", "adaptive-full", "adaptive-limited", "adaptive-stochastic", "oja")
+STOCHASTIC_LIMIT = 40  # processing_limit of stochastic runs when none is given
 
 
 @dataclass
@@ -66,7 +67,7 @@ class ExperimentConfig:
                 f"runs ({self.runs}) must equal the number of seeds ({len(self.seeds)})"
             )
         if self.mode == "adaptive-stochastic":
-            limit = self.processing_limit if self.processing_limit is not None else 40
+            limit = self.processing_limit if self.processing_limit is not None else STOCHASTIC_LIMIT
             if limit >= n_steps:
                 raise ValueError(
                     f"stochastic mode needs processing_limit < n ({limit} >= {n_steps})"
@@ -129,7 +130,7 @@ def _adaptive_config(cfg: ExperimentConfig, store: SampleStore, seed=0, stochast
     n = store.count
     space = min(store.dim, n) if cfg.mode == "adaptive-full" else cfg.space_limit
     if stochastic:
-        limit = cfg.processing_limit if cfg.processing_limit is not None else 40
+        limit = cfg.processing_limit if cfg.processing_limit is not None else STOCHASTIC_LIMIT
     else:
         limit = n
     return AdaptiveConfig(space_limit=space, processing_limit=limit, seed=seed)
@@ -189,31 +190,23 @@ def run_compare(cfg: ExperimentConfig) -> dict:
     t0 = time.perf_counter()
     store, meta = load_dataset(cfg)
     cfg.validate(store.count)
-    curves: list[CurveSeries] = []
     dot_totals: dict[str, int] = {}
 
-    batch_space = dual_pca(store, centered=False)
-    batch_curve = explained_variance(batch_space, store, label="batch")
-    batch_curve.centered = cfg.centered
-    curves.append(batch_curve)
+    def streaming_curve(label: str, seed=0, stochastic=False) -> CurveSeries:
+        # the run's state is as large as the dataset; only its curve and count outlive this call
+        state = run_adaptive(store, _adaptive_config(cfg, store, seed, stochastic))
+        curve = explained_variance(state.eigenspace(), store, label=label)
+        curve.centered = cfg.centered
+        dot_totals[label] = state.counter.dot_products
+        return curve
 
+    batch_curve = explained_variance(dual_pca(store, centered=False), store, label="batch")
+    batch_curve.centered = cfg.centered
+    curves = [batch_curve]
     if cfg.mode in ("adaptive-full", "adaptive-limited", "adaptive-stochastic"):
-        det_state = run_adaptive(store, _adaptive_config(cfg, store))
-        det_curve = explained_variance(det_state.eigenspace(), store, label="adaptive")
-        det_curve.centered = cfg.centered
-        curves.append(det_curve)
-        dot_totals["adaptive"] = det_state.counter.dot_products
+        curves.append(streaming_curve("adaptive"))
     if cfg.mode == "adaptive-stochastic":
-        stochastic = []
-        for seed in cfg.seeds:
-            run_cfg = _adaptive_config(cfg, store, seed, stochastic=True)
-            state = run_adaptive(store, run_cfg)
-            curve = explained_variance(
-                state.eigenspace(), store, label=f"stochastic_seed{seed}"
-            )
-            curve.centered = cfg.centered
-            stochastic.append(curve)
-            dot_totals[curve.label] = state.counter.dot_products
+        stochastic = [streaming_curve(f"stochastic_seed{seed}", seed, True) for seed in cfg.seeds]
         curves.extend(stochastic)
         curves.append(mean_curve(stochastic, label="stochastic_mean"))
     if cfg.mode == "oja":
@@ -280,6 +273,8 @@ def run_counters(cfg: ExperimentConfig) -> dict:
     store, meta = load_dataset(cfg)
     if cfg.mode not in ("adaptive-full", "adaptive-limited", "adaptive-stochastic"):
         raise ValueError("counters requires one of the adaptive modes")
+    if len(cfg.seeds) > 1:
+        raise ValueError("counters runs one stream; give one seed")
     stochastic = cfg.mode == "adaptive-stochastic"
     if stochastic and not cfg.seeds:
         cfg.seeds = [0]

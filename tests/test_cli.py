@@ -1,8 +1,10 @@
 import csv
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +102,46 @@ class TestCompare:
         record = json.loads((out / "meta.json").read_text())
         assert "adaptive" in record["dot_products"]
         assert record["config"]["seeds"] == [1, 2, 3]
+
+    def test_one_streaming_run_alive_at_a_time(self, tmp_path, monkeypatch):
+        # each streaming state and the batch basis are as large as the dataset;
+        # none may outlive its curve
+        earlier = []
+        original_run, original_pca = cli.run_adaptive, cli.dual_pca
+
+        def tracked(original):
+            def call(*args, **kwargs):
+                result = original(*args, **kwargs)
+                earlier.append(weakref.ref(result))
+                return result
+
+            return call
+
+        def checked_run(*args, **kwargs):
+            gc.collect()
+            assert earlier and all(ref() is None for ref in earlier)
+            return tracked(original_run)(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "dual_pca", tracked(original_pca))
+        monkeypatch.setattr(cli, "run_adaptive", checked_run)
+        rc = main(
+            [
+                "compare",
+                "--synth", "lowrank",
+                "--d", "40",
+                "--n", "30",
+                "--rank", "4",
+                "--sigma", "0.02",
+                "--seed", "3",
+                "--mode", "adaptive-stochastic",
+                "--space-limit", "8",
+                "--processing-limit", "6",
+                "--seeds", "1..3",
+                "--out", str(tmp_path / "run"),
+            ]
+        )
+        assert rc == 0
+        assert len(earlier) == 5  # the batch basis, the deterministic run, three seeds
 
     def test_oja_mode(self, tmp_path):
         out = tmp_path / "run"
@@ -305,6 +347,24 @@ class TestCounters:
         ratios = [c / s for s, c in pairs if s > 100]
         spread = (max(ratios) - min(ratios)) / ratios[-1]
         assert spread <= 0.05
+
+    def test_rejects_more_than_one_seed(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = main(
+            [
+                "counters",
+                "--synth", "lowrank",
+                "--d", "20",
+                "--n", "30",
+                "--mode", "adaptive-stochastic",
+                "--processing-limit", "5",
+                "--seeds", "1..3",
+                "--out", str(out),
+            ]
+        )
+        assert rc == 1
+        assert "one seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rejects_batch_mode(self, tmp_path):
         with pytest.raises(SystemExit) as err:
