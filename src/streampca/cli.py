@@ -21,7 +21,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,50 +40,46 @@ from .data import (
 )
 from .evaluate import CurveSeries, curve_gap, eigenfunctions, explained_variance, mean_curve
 
-MODES = ("batch", "adaptive-full", "adaptive-limited", "adaptive-stochastic", "oja")
+ADAPTIVE_MODES = ("adaptive-full", "adaptive-limited", "adaptive-stochastic")
+MODES = ("batch", *ADAPTIVE_MODES, "oja")
 STOCHASTIC_LIMIT = 40  # processing_limit of stochastic runs when none is given
 
 
 @dataclass
 class ExperimentConfig:
-    """Everything one experiment run needs, resolved from CLI flags."""
+    """Everything one experiment run needs, resolved once from the CLI flags.
+
+    ``processing_limit`` and ``seeds`` belong to the stochastic mode; the
+    other modes correlate every previous sample and leave them None and [].
+    """
 
     dataset: dict
-    mode: str = "batch"
-    space_limit: int = 20
-    processing_limit: int | None = None
-    runs: int = 0
-    seeds: list = field(default_factory=list)
-    centered: bool = False
-    learning_rate: float = 0.01
-    components: list = field(default_factory=list)
-    output_dir: Path = Path(".")
+    mode: str
+    space_limit: int
+    processing_limit: int | None
+    seeds: list
+    centered: bool
+    learning_rate: float
+    components: list
+    output_dir: Path
 
     def validate(self, n_steps: int) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.runs != len(self.seeds):
+        if self.mode != "adaptive-stochastic":
+            if self.processing_limit is not None or self.seeds:
+                raise ValueError(f"{self.mode} mode takes no processing_limit or seeds")
+            return
+        if self.processing_limit >= n_steps:
             raise ValueError(
-                f"runs ({self.runs}) must equal the number of seeds ({len(self.seeds)})"
+                f"stochastic mode needs processing_limit < n ({self.processing_limit} >= {n_steps})"
             )
-        if self.mode == "adaptive-stochastic":
-            limit = self.processing_limit if self.processing_limit is not None else STOCHASTIC_LIMIT
-            if limit >= n_steps:
-                raise ValueError(
-                    f"stochastic mode needs processing_limit < n ({limit} >= {n_steps})"
-                )
-            if not self.seeds:
-                raise ValueError("stochastic mode needs at least one seed")
-
-    def as_dict(self) -> dict:
-        record = asdict(self)
-        del record["output_dir"]
-        return record
+        if not self.seeds:
+            raise ValueError("stochastic mode needs at least one seed")
 
 
-def _parse_seeds(text: str) -> list:
-    """Seed list syntax: '1..10' (inclusive range) or '1,2,3'."""
-    text = text.strip()
+def _int_list(text: str) -> list:
+    """Integer list syntax: '1..10' (inclusive range) or '1,2,3'."""
     if ".." in text:
         lo, hi = text.split("..", 1)
         return list(range(int(lo), int(hi) + 1))
@@ -95,45 +91,35 @@ def load_dataset(cfg: ExperimentConfig) -> tuple[SampleStore, DatasetMeta]:
     ds = cfg.dataset
     kind = ds["kind"]
     if kind == "synth":
-        store, meta = synth(
-            ds["generator"], ds["d"], ds["n"], params=ds.get("params"), seed=ds.get("seed", 0)
-        )
+        store, meta = synth(ds["generator"], ds["d"], ds["n"], params=ds["params"], seed=ds["seed"])
     elif kind == "volumes":
         store, meta = load_raw_volumes(
             ds["pattern"],
             ds["shape"],
-            element_type=ds.get("dtype", "f32"),
-            byte_order=ds.get("byte_order", "little"),
-            scale=ds.get("scale", True),
-            manifest=ds.get("manifest"),
+            element_type=ds["dtype"],
+            byte_order=ds["byte_order"],
+            scale=ds["scale"],
+            manifest=ds["manifest"],
         )
-        _print_order(meta)
     elif kind == "frames":
-        store, meta = load_pgm_sequence(
-            ds["directory"], scale=ds.get("scale", True), manifest=ds.get("manifest")
-        )
-        _print_order(meta)
+        store, meta = load_pgm_sequence(ds["directory"], scale=ds["scale"], manifest=ds["manifest"])
     else:
         raise ValueError(f"unknown dataset kind {kind!r}")
+    if kind != "synth":
+        print(f"time order resolved for {meta.name} ({meta.steps} steps):")
+        for f in meta.source["files"]:
+            print(f"  {f}")
     if cfg.centered:
         store = SampleStore.from_matrix(_centered_matrix(store, True))
     return store, meta
 
 
-def _print_order(meta: DatasetMeta) -> None:
-    print(f"time order resolved for {meta.name} ({meta.steps} steps):")
-    for f in meta.source.get("files", []):
-        print(f"  {f}")
-
-
-def _adaptive_config(cfg: ExperimentConfig, store: SampleStore, seed=0, stochastic=False) -> AdaptiveConfig:
+def _adaptive_config(cfg: ExperimentConfig, store: SampleStore, seed=None) -> AdaptiveConfig:
     n = store.count
     space = min(store.dim, n) if cfg.mode == "adaptive-full" else cfg.space_limit
-    if stochastic:
-        limit = cfg.processing_limit if cfg.processing_limit is not None else STOCHASTIC_LIMIT
-    else:
-        limit = n
-    return AdaptiveConfig(space_limit=space, processing_limit=limit, seed=seed)
+    if seed is None:  # the deterministic run correlates every previous sample
+        return AdaptiveConfig(space_limit=space, processing_limit=n)
+    return AdaptiveConfig(space_limit=space, processing_limit=cfg.processing_limit, seed=seed)
 
 
 def _oja_curve(store: SampleStore, learning_rate: float) -> CurveSeries:
@@ -160,12 +146,8 @@ def _write_curves_csv(path: Path, curves: list) -> None:
 
 
 def _write_meta(path: Path, meta: DatasetMeta, cfg: ExperimentConfig, extra: dict) -> None:
-    record = {
-        "version": __version__,
-        "dataset": meta.as_dict(),
-        "config": cfg.as_dict(),
-    }
-    record.update(extra)
+    record = {"version": __version__, "dataset": asdict(meta), "config": asdict(cfg), **extra}
+    del record["config"]["output_dir"]
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
@@ -192,9 +174,9 @@ def run_compare(cfg: ExperimentConfig) -> dict:
     cfg.validate(store.count)
     dot_totals: dict[str, int] = {}
 
-    def streaming_curve(label: str, seed=0, stochastic=False) -> CurveSeries:
+    def streaming_curve(label: str, seed=None) -> CurveSeries:
         # the run's state is as large as the dataset; only its curve and count outlive this call
-        state = run_adaptive(store, _adaptive_config(cfg, store, seed, stochastic))
+        state = run_adaptive(store, _adaptive_config(cfg, store, seed))
         curve = explained_variance(state.eigenspace(), store, label=label)
         curve.centered = cfg.centered
         dot_totals[label] = state.counter.dot_products
@@ -203,10 +185,10 @@ def run_compare(cfg: ExperimentConfig) -> dict:
     batch_curve = explained_variance(dual_pca(store, centered=False), store, label="batch")
     batch_curve.centered = cfg.centered
     curves = [batch_curve]
-    if cfg.mode in ("adaptive-full", "adaptive-limited", "adaptive-stochastic"):
+    if cfg.mode in ADAPTIVE_MODES:
         curves.append(streaming_curve("adaptive"))
     if cfg.mode == "adaptive-stochastic":
-        stochastic = [streaming_curve(f"stochastic_seed{seed}", seed, True) for seed in cfg.seeds]
+        stochastic = [streaming_curve(f"stochastic_seed{seed}", seed) for seed in cfg.seeds]
         curves.extend(stochastic)
         curves.append(mean_curve(stochastic, label="stochastic_mean"))
     if cfg.mode == "oja":
@@ -248,16 +230,12 @@ def run_eigenfunctions(cfg: ExperimentConfig) -> dict:
         space = run_adaptive(store, _adaptive_config(cfg, store)).eigenspace()
     else:
         space = dual_pca(store, centered=False)
-    wanted = cfg.components or [1]
-    for c in wanted:
-        if c < 1 or c > len(space):
-            raise ValueError(
-                f"component {c} out of range; the space has {len(space)} components"
-            )
+    if not cfg.components or any(c < 1 or c > len(space) for c in cfg.components):
+        raise ValueError(f"components {cfg.components} are empty or out of range 1..{len(space)}")
     funcs = eigenfunctions(space, store)
-    lines = ["t," + ",".join(f"f{c}" for c in wanted)]
+    lines = ["t," + ",".join(f"f{c}" for c in cfg.components)]
     for t in range(funcs.step_count):
-        cells = [str(t + 1)] + [_fmt(funcs.values[c - 1, t]) for c in wanted]
+        cells = [str(t + 1)] + [_fmt(funcs.values[c - 1, t]) for c in cfg.components]
         lines.append(",".join(cells))
 
     def write(staging: Path) -> None:
@@ -271,17 +249,13 @@ def run_counters(cfg: ExperimentConfig) -> dict:
     """Per-step inner-product counts of one streaming run; writes counters.csv."""
     t0 = time.perf_counter()
     store, meta = load_dataset(cfg)
-    if cfg.mode not in ("adaptive-full", "adaptive-limited", "adaptive-stochastic"):
+    if cfg.mode not in ADAPTIVE_MODES:
         raise ValueError("counters requires one of the adaptive modes")
     if len(cfg.seeds) > 1:
         raise ValueError("counters runs one stream; give one seed")
-    stochastic = cfg.mode == "adaptive-stochastic"
-    if stochastic and not cfg.seeds:
-        cfg.seeds = [0]
-        cfg.runs = 1
     cfg.validate(store.count)
-    seed = cfg.seeds[0] if cfg.seeds else 0
-    state = run_adaptive(store, _adaptive_config(cfg, store, seed, stochastic))
+    seed = cfg.seeds[0] if cfg.seeds else None
+    state = run_adaptive(store, _adaptive_config(cfg, store, seed))
     lines = ["step,dot_products"]
     for step, count in state.counter.per_step_log:
         lines.append(f"{step},{count}")
@@ -375,81 +349,75 @@ def _dataset_from_args(args) -> dict:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    seeds = _parse_seeds(args.seeds) if getattr(args, "seeds", None) else []
-    runs = getattr(args, "runs", None)
-    if runs is None:
-        runs = len(seeds)
-    elif not seeds:
-        seeds = list(range(1, runs + 1))
-    components = (
-        [int(c) for c in args.components.split(",")]
-        if getattr(args, "components", None)
-        else []
-    )
+    seeds = args.seeds
+    processing_limit = args.processing_limit
+    if args.mode == "adaptive-stochastic":
+        if processing_limit is None:
+            processing_limit = STOCHASTIC_LIMIT
+        if args.command == "counters" and not seeds:
+            seeds = [0]  # counters runs one stream
     return ExperimentConfig(
         dataset=_dataset_from_args(args),
-        mode=getattr(args, "mode", "batch"),
-        space_limit=getattr(args, "space_limit", 20),
-        processing_limit=getattr(args, "processing_limit", None),
-        runs=runs,
+        mode=args.mode,
+        space_limit=args.space_limit,
+        processing_limit=processing_limit,
         seeds=seeds,
-        centered=getattr(args, "centered", False),
-        learning_rate=getattr(args, "learning_rate", 0.01),
-        components=components,
+        centered=args.centered,
+        learning_rate=args.learning_rate,
+        components=args.components,
         output_dir=Path(args.out),
     )
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's flag table: each flag is declared once, with its default."""
+    common, run, stochastic = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    _add_dataset_flags(common)
+    common.add_argument("--out", default="out", help="output directory")
+    # the subcommands that run PCA
+    run.add_argument(
+        "--space-limit", type=int, default=20, help="components kept (limited and stochastic modes)"
+    )
+    run.add_argument("--centered", action="store_true", help="pre-center the stream")
+    # the subcommands with a stochastic mode
+    stochastic.add_argument(
+        "--processing-limit",
+        type=int,
+        help=f"previous samples drawn per step (stochastic mode only, default {STOCHASTIC_LIMIT})",
+    )
+    stochastic.add_argument(
+        "--seeds", type=_int_list, default="", help="stochastic seeds: '1..10' or '1,2,3'"
+    )
     parser = argparse.ArgumentParser(
         prog="streampca",
         description="streaming PCA experiments with explained-variance comparisons",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    compare = sub.add_parser("compare", help="batch vs streaming explained variance")
-    _add_dataset_flags(compare)
-    compare.add_argument("--mode", choices=MODES, default="adaptive-full")
-    compare.add_argument("--space-limit", type=int, default=20)
-    compare.add_argument("--processing-limit", type=int)
-    compare.add_argument("--runs", type=int)
-    compare.add_argument("--seeds", help="stochastic seeds: '1..10' or '1,2,3'")
-    compare.add_argument("--centered", action="store_true", help="pre-center the stream")
-    compare.add_argument("--learning-rate", type=float, default=0.01, help="Oja step size")
-    compare.add_argument("--out", default="out", help="output directory")
-
-    eig = sub.add_parser("eigenfunctions", help="per-component score time series")
-    _add_dataset_flags(eig)
-    eig.add_argument("--mode", choices=("batch", "adaptive-full", "adaptive-limited"), default="batch")
-    eig.add_argument("--space-limit", type=int, default=20)
-    eig.add_argument("--processing-limit", type=int)
-    eig.add_argument("--components", default="1", help="1-based component list, e.g. 1,5,10")
-    eig.add_argument("--centered", action="store_true")
-    eig.add_argument("--out", default="out")
-
-    counters = sub.add_parser("counters", help="per-step inner-product counts")
-    _add_dataset_flags(counters)
-    counters.add_argument(
-        "--mode",
-        choices=("adaptive-full", "adaptive-limited", "adaptive-stochastic"),
-        default="adaptive-stochastic",
+    compare = sub.add_parser(
+        "compare", parents=[common, run, stochastic], help="batch vs streaming explained variance"
     )
-    counters.add_argument("--space-limit", type=int, default=20)
-    counters.add_argument("--processing-limit", type=int)
-    counters.add_argument("--seeds", help="seed for the stochastic run")
-    counters.add_argument("--centered", action="store_true")
-    counters.add_argument("--out", default="out")
-
-    dump = sub.add_parser("synth-dump", help="write a synthetic dataset as raw files")
-    _add_dataset_flags(dump)
-    dump.add_argument("--out", default="out")
-
+    compare.add_argument("--mode", choices=MODES, default="adaptive-full")
+    compare.add_argument("--learning-rate", type=float, default=0.01, help="Oja step size")
+    eig = sub.add_parser(
+        "eigenfunctions", parents=[common, run], help="per-component score time series"
+    )
+    eig.add_argument("--mode", choices=("batch", "adaptive-full", "adaptive-limited"), default="batch")
+    eig.add_argument(
+        "--components", type=_int_list, default="1", help="1-based component list, e.g. 1,5,10"
+    )
+    counters = sub.add_parser(
+        "counters", parents=[common, run, stochastic], help="per-step inner-product counts"
+    )
+    counters.add_argument("--mode", choices=ADAPTIVE_MODES, default="adaptive-stochastic")
+    sub.add_parser("synth-dump", parents=[common], help="write a synthetic dataset as raw files")
+    # meta.json records every setting; where a subcommand has no flag for one,
+    # it records compare's default, or batch mode and no components
+    parser.set_defaults(**{**vars(compare.parse_args([])), "mode": "batch", "components": []})
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
         if args.command == "compare":

@@ -41,15 +41,6 @@ class DatasetMeta:
     steps: int
     source: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "shape": list(self.shape),
-            "element_type": self.element_type,
-            "steps": self.steps,
-            "source": self.source,
-        }
-
 
 _ELEMENT_TYPES = {
     "u8": (np.uint8, 255.0),
@@ -320,14 +311,13 @@ def synth(
         radius = float(params.setdefault("radius_frac", 0.25)) * side
         width = float(params.setdefault("width_frac", 0.08)) * side
         yy, xx = np.mgrid[0:side, 0:side]
-        frames = []
+        x = np.empty((d, n))  # one frame per column, written in place
         for t in range(n):
             angle = 2.0 * np.pi * t / n
             cx = side / 2.0 + radius * np.cos(angle)
             cy = side / 2.0 + radius * np.sin(angle)
             bump = np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2.0 * width**2))
-            frames.append(bump.ravel())
-        x = np.stack(frames, axis=1)
+            x[:, t] = bump.ravel()
         shape = (side, side)
     else:  # cascade
         rank = int(params.setdefault("rank", 20))

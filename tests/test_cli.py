@@ -2,6 +2,7 @@ import csv
 import gc
 import json
 import os
+import shlex
 import subprocess
 import sys
 import weakref
@@ -284,6 +285,14 @@ class TestEigenfunctions:
         assert not (tmp_path / "x" / "eigenfunctions.csv").exists()
 
 
+    def test_empty_component_list_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        argv = ["eigenfunctions", "--synth", "lowrank", "--d", "20", "--n", "10"]
+        assert main(argv + ["--components", "", "--out", str(out)]) == 1
+        assert "empty" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCounters:
     def test_stochastic_counts_constant_after_limit(self, tmp_path):
         out = tmp_path / "run"
@@ -492,10 +501,41 @@ class TestErrors:
         assert rc == 1
         assert not (tmp_path / "x" / "curves.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--mode", "adaptive-full", "--seeds", "1"],
+            ["compare", "--mode", "adaptive-limited", "--processing-limit", "5"],
+            ["compare", "--mode", "batch", "--seeds", "1..2"],
+            ["compare", "--mode", "oja", "--processing-limit", "5"],
+            ["counters", "--mode", "adaptive-limited", "--seeds", "1"],
+            ["counters", "--mode", "adaptive-full", "--processing-limit", "5"],
+        ],
+    )
+    def test_stochastic_flags_rejected_in_other_modes(self, tmp_path, capsys, argv):
+        # these modes correlate every previous sample and draw nothing
+        out = tmp_path / "run"
+        rc = main(argv + ["--synth", "lowrank", "--d", "20", "--n", "12", "--out", str(out)])
+        assert rc == 1
+        assert "takes no processing_limit or seeds" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_generator_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["compare", "--synth", "fractal", "--out", str(tmp_path / "x")])
         assert err.value.code == 2
+
+
+def test_meta_records_resolved_stochastic_settings(tmp_path):
+    dataset = ["--synth", "lowrank", "--d", "20", "--n", "45", "--space-limit", "4"]
+    stochastic = ["--mode", "adaptive-stochastic", "--seeds", "1"]
+    assert main(["compare", *dataset, *stochastic, "--out", str(tmp_path / "compare")]) == 0
+    assert main(["counters", *dataset, "--out", str(tmp_path / "counters")]) == 0
+    for run, seeds in (("compare", [1]), ("counters", [0])):
+        config = json.loads((tmp_path / run / "meta.json").read_text())["config"]
+        assert config["processing_limit"] == cli.STOCHASTIC_LIMIT == 40
+        assert config["seeds"] == seeds
+        assert "runs" not in config
 
 
 def test_console_entry_point_runs():
@@ -511,3 +551,15 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "compare" in proc.stdout
+
+
+def test_readme_examples_parse():
+    # README's example commands use only flags and flag combinations the CLI accepts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [block.split("```", 1)[0] for block in readme.split("```sh\n")[1:]]
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines if line.startswith("streampca ")]
+    assert {c[1] for c in commands} == {"compare", "eigenfunctions", "counters"}
+    for argv in commands:
+        args = cli.build_parser().parse_args(argv[1:])
+        cli._config_from_args(args).validate(args.n)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,17 @@ class TestSynth:
     def test_rotating_blob_needs_square(self):
         with pytest.raises(ValueError):
             synth("rotating_blob", d=50, n=5)
+
+    def test_rotating_blob_holds_at_most_two_copies(self):
+        # the generated matrix and the store's per-column copies, no frame list besides
+        d, n = 1024, 200
+        tracemalloc.start()
+        try:
+            synth("rotating_blob", d=d, n=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * d * n * 8
 
     def test_bit_reproducible(self):
         for gen, params in (
