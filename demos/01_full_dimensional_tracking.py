@@ -20,7 +20,7 @@ store, meta = synth("lowrank", d=500, n=100, params={"rank": 30, "sigma": 0.05},
 print(f"stream: {meta.steps} steps of dimension {store.dim} (rank 30 + noise)")
 
 # batch reference: Gram-matrix PCA over all samples at once
-batch_space = dual_pca(store, centered=False)
+batch_space = dual_pca(store)
 batch = explained_variance(batch_space, store, label="batch")
 
 # streaming: every previous sample in play, one component added per step

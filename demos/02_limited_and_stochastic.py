@@ -20,7 +20,7 @@ from streampca import (
 store, _ = synth("cascade", d=2000, n=300, seed=9)
 print(f"stream: {store.count} steps of dimension {store.dim}")
 
-batch = explained_variance(dual_pca(store, centered=False), store, label="batch")
+batch = explained_variance(dual_pca(store), store, label="batch")
 print(f"batch: top 20 of {len(batch)} components hold {batch.values[19]:.2%}")
 
 deterministic = run_adaptive(store, AdaptiveConfig(space_limit=20, processing_limit=300))

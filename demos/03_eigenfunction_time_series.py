@@ -12,7 +12,7 @@ from streampca import dual_pca, eigenfunctions, explained_variance, synth
 
 # one spatial wave, exactly one temporal period over the 40-step window
 store, _ = synth("traveling_wave", d=64, n=40, params={"speed": 1.6}, seed=0)
-space = dual_pca(store, centered=False)
+space = dual_pca(store)
 curve = explained_variance(space, store)
 print(f"wave stream: rank {len(space)}, curve reaches {curve.values[-1]:.6f}")
 
@@ -38,7 +38,7 @@ print(f"sum_i v_i f_i(t) reconstructs every sample to {err:.1e}")
 # component is the quasi-static orbit average; the ones after it oscillate,
 # faster as the index grows.
 store, _ = synth("rotating_blob", d=1024, n=60, seed=3)
-space = dual_pca(store, centered=False)
+space = dual_pca(store)
 funcs = eigenfunctions(space, store).values
 print(f"\norbiting-bump stream: {len(space)} components")
 print(f"f1 is quasi-static: peak-to-peak {np.ptp(funcs[0]):.4f} around {funcs[0].mean():.3f}")

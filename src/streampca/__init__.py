@@ -17,7 +17,7 @@ from .adaptive import (
     run_adaptive,
     update_component,
 )
-from .batch import EigenSpace, dual_pca, gram, project, reconstruct, sym_eig
+from .batch import EigenSpace, center, dual_pca, gram, project, reconstruct, sym_eig
 from .core import (
     ConvergenceError,
     DegenerateDataError,
@@ -30,7 +30,6 @@ from .core import (
     RngState,
     SampleStore,
     StreamPcaError,
-    dot,
     normalize,
     sample_indices,
 )
@@ -75,8 +74,8 @@ __all__ = [
     "RngState",
     "SampleStore",
     "StreamPcaError",
+    "center",
     "curve_gap",
-    "dot",
     "dual_pca",
     "eigenfunctions",
     "explained_variance",

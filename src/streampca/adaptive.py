@@ -89,12 +89,7 @@ class AdaptiveState:
 
     def eigenspace(self) -> EigenSpace:
         """Snapshot of the current components as an EigenSpace."""
-        return EigenSpace(
-            dim=self.dim,
-            components=np.stack(self.components, axis=0),
-            eigenvalues=None,
-            centered=False,
-        )
+        return EigenSpace(dim=self.dim, components=np.stack(self.components, axis=0))
 
 
 def _finite_sample(x) -> np.ndarray:

@@ -29,14 +29,13 @@ class EigenSpace:
 
     ``components`` is a (p, dim) array whose rows are unit vectors.
     ``eigenvalues``, when present, are non-negative and non-increasing.
-    ``centered`` records whether the producing computation subtracted the
-    sample mean.
+    The basis describes whatever samples produced it; centre them with
+    ``center`` first for covariance PCA.
     """
 
     dim: int
     components: np.ndarray
     eigenvalues: np.ndarray | None = None
-    centered: bool = False
 
     def __post_init__(self):
         self.components = np.atleast_2d(np.asarray(self.components, dtype=np.float64))
@@ -62,22 +61,28 @@ class EigenSpace:
         return self.components.shape[0]
 
 
-def _centered_matrix(store: SampleStore, centered: bool) -> np.ndarray:
+RANK_TOL = 1e-10  # Gram eigenvalues at or below RANK_TOL * mu_max count as zero
+
+
+def center(store: SampleStore) -> SampleStore:
+    """New store holding the samples minus their mean, in the same order.
+
+    The one place a mean is subtracted: every routine takes its samples
+    as given, so pass ``center(store)`` for mean-subtracted PCA.
+    """
     x = store.matrix()
-    if centered:
-        x = x - x.mean(axis=1, keepdims=True)
-    return x
+    return SampleStore.from_matrix(x - x.mean(axis=1, keepdims=True))
 
 
-def gram(store: SampleStore, centered: bool = False) -> np.ndarray:
-    """n x n matrix of pairwise sample inner products.
+def gram(store: SampleStore) -> np.ndarray:
+    """n x n matrix of pairwise inner products of the samples as stored.
 
-    With ``centered`` the sample mean is subtracted first. The result is
-    exactly symmetric: each pair is computed once and mirrored.
+    The result is exactly symmetric: each pair is computed once and
+    mirrored.
     """
     if store.count < 2:
         raise InsufficientDataError(f"need at least 2 samples, have {store.count}")
-    x = _centered_matrix(store, centered)
+    x = store.matrix()
     g = x.T @ x
     return np.triu(g) + np.triu(g, 1).T
 
@@ -106,31 +111,26 @@ def sym_eig(m):
     return w[::-1], q[:, ::-1]
 
 
-def dual_pca(store: SampleStore, centered: bool = False, rank_tol: float = 1e-10) -> EigenSpace:
-    """Full PCA basis of the stored samples via the Gram eigenproblem.
+def dual_pca(store: SampleStore) -> EigenSpace:
+    """Full PCA basis of the samples as stored, via the Gram eigenproblem.
 
-    Gram eigenpairs (mu, u) with mu > rank_tol * mu_max map to primal
+    Gram eigenpairs (mu, u) with mu > RANK_TOL * mu_max map to primal
     components X u (normalized) with eigenvalue mu / (n - 1), ordered by
     descending eigenvalue. Raises RankZeroError when nothing survives the
-    tolerance.
+    tolerance. No mean is subtracted; pass ``center(store)`` for that.
     """
-    g = gram(store, centered=centered)
+    g = gram(store)
     mu, u = sym_eig(g)
     if mu[0] <= 0.0:
         raise RankZeroError("all Gram eigenvalues are at or below zero")
-    keep = mu > rank_tol * mu[0]
+    keep = mu > RANK_TOL * mu[0]
     if not np.any(keep):
         raise RankZeroError("all Gram eigenvalues fall below the rank tolerance")
     mu = mu[keep]
     u = u[:, keep]
-    primal = _centered_matrix(store, centered) @ u
+    primal = store.matrix() @ u
     primal /= np.linalg.norm(primal, axis=0, keepdims=True)
-    return EigenSpace(
-        dim=store.dim,
-        components=primal.T,
-        eigenvalues=mu / (store.count - 1),
-        centered=centered,
-    )
+    return EigenSpace(dim=store.dim, components=primal.T, eigenvalues=mu / (store.count - 1))
 
 
 def project(space: EigenSpace, x) -> np.ndarray:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .adaptive import AdaptiveConfig, OjaState, oja_update, run_adaptive
-from .batch import EigenSpace, _centered_matrix, dual_pca
+from .batch import EigenSpace, center, dual_pca
 from .core import SampleStore, StreamPcaError, normalize
 from .data import (
     GENERATORS,
@@ -109,9 +109,7 @@ def load_dataset(cfg: ExperimentConfig) -> tuple[SampleStore, DatasetMeta]:
         print(f"time order resolved for {meta.name} ({meta.steps} steps):")
         for f in meta.source["files"]:
             print(f"  {f}")
-    if cfg.centered:
-        store = SampleStore.from_matrix(_centered_matrix(store, True))
-    return store, meta
+    return (center(store) if cfg.centered else store), meta
 
 
 def _adaptive_config(cfg: ExperimentConfig, store: SampleStore, seed=None) -> AdaptiveConfig:
@@ -177,13 +175,10 @@ def run_compare(cfg: ExperimentConfig) -> dict:
     def streaming_curve(label: str, seed=None) -> CurveSeries:
         # the run's state is as large as the dataset; only its curve and count outlive this call
         state = run_adaptive(store, _adaptive_config(cfg, store, seed))
-        curve = explained_variance(state.eigenspace(), store, label=label)
-        curve.centered = cfg.centered
         dot_totals[label] = state.counter.dot_products
-        return curve
+        return explained_variance(state.eigenspace(), store, label=label)
 
-    batch_curve = explained_variance(dual_pca(store, centered=False), store, label="batch")
-    batch_curve.centered = cfg.centered
+    batch_curve = explained_variance(dual_pca(store), store, label="batch")
     curves = [batch_curve]
     if cfg.mode in ADAPTIVE_MODES:
         curves.append(streaming_curve("adaptive"))
@@ -192,9 +187,7 @@ def run_compare(cfg: ExperimentConfig) -> dict:
         curves.extend(stochastic)
         curves.append(mean_curve(stochastic, label="stochastic_mean"))
     if cfg.mode == "oja":
-        curve = _oja_curve(store, cfg.learning_rate)
-        curve.centered = cfg.centered
-        curves.append(curve)
+        curves.append(_oja_curve(store, cfg.learning_rate))
 
     gaps = {}
     gap_lines = []
@@ -229,7 +222,7 @@ def run_eigenfunctions(cfg: ExperimentConfig) -> dict:
     if cfg.mode in ("adaptive-full", "adaptive-limited"):
         space = run_adaptive(store, _adaptive_config(cfg, store)).eigenspace()
     else:
-        space = dual_pca(store, centered=False)
+        space = dual_pca(store)
     if not cfg.components or any(c < 1 or c > len(space) for c in cfg.components):
         raise ValueError(f"components {cfg.components} are empty or out of range 1..{len(space)}")
     funcs = eigenfunctions(space, store)
@@ -350,12 +343,12 @@ def _dataset_from_args(args) -> dict:
 
 def _config_from_args(args) -> ExperimentConfig:
     seeds = args.seeds
+    if seeds is None:  # omitted, unlike an empty range, which the stochastic mode rejects
+        stochastic_counters = args.command == "counters" and args.mode == "adaptive-stochastic"
+        seeds = [0] if stochastic_counters else []  # counters runs one stream, seed 0 by default
     processing_limit = args.processing_limit
-    if args.mode == "adaptive-stochastic":
-        if processing_limit is None:
-            processing_limit = STOCHASTIC_LIMIT
-        if args.command == "counters" and not seeds:
-            seeds = [0]  # counters runs one stream
+    if args.mode == "adaptive-stochastic" and processing_limit is None:
+        processing_limit = STOCHASTIC_LIMIT
     return ExperimentConfig(
         dataset=_dataset_from_args(args),
         mode=args.mode,
@@ -386,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"previous samples drawn per step (stochastic mode only, default {STOCHASTIC_LIMIT})",
     )
     stochastic.add_argument(
-        "--seeds", type=_int_list, default="", help="stochastic seeds: '1..10' or '1,2,3'"
+        "--seeds", type=_int_list, help="stochastic seeds: '1..10' or '1,2,3'"
     )
     parser = argparse.ArgumentParser(
         prog="streampca",

@@ -35,7 +35,7 @@ class RankZeroError(StreamPcaError):
 
 
 class DegenerateDataError(StreamPcaError):
-    """Data carries no variance under the requested convention."""
+    """Data carries no variance."""
 
 
 class ConvergenceError(StreamPcaError):
@@ -217,22 +217,6 @@ class OpCounter:
     def mark_step(self, step_index: int) -> None:
         self.per_step_log.append((step_index, self.dot_products - self._marked))
         self._marked = self.dot_products
-
-
-def dot(a, b, counter: OpCounter | None = None) -> float:
-    """Euclidean inner product of two equal-length vectors.
-
-    Increments ``counter`` by one when counting is enabled.
-    """
-    av = _as_vector(a)
-    bv = _as_vector(b)
-    if av.shape[0] != bv.shape[0]:
-        raise DimensionMismatchError(
-            f"length mismatch: {av.shape[0]} vs {bv.shape[0]}"
-        )
-    if counter is not None:
-        counter.add()
-    return float(av @ bv)
 
 
 def normalize(v, tol: float = 1e-12) -> np.ndarray:

@@ -13,17 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import EigenSpace, _centered_matrix
+from .batch import EigenSpace
 from .core import DegenerateDataError, DimensionMismatchError, SampleStore
 
 
 @dataclass
 class CurveSeries:
-    """Cumulative explained-variance fractions, one entry per component."""
+    """Cumulative explained-variance fractions, one entry per component.
+
+    The fractions are of the samples the curve was measured on, as given;
+    a curve of ``center(store)`` is a curve of mean-subtracted samples.
+    """
 
     values: np.ndarray
     label: str = ""
-    centered: bool = False
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -53,17 +56,13 @@ class EigenfunctionMatrix:
         return self.values.shape[1]
 
 
-def explained_variance(
-    space: EigenSpace,
-    store: SampleStore,
-    centered: bool = False,
-    label: str = "",
-) -> CurveSeries:
+def explained_variance(space: EigenSpace, store: SampleStore, label: str = "") -> CurveSeries:
     """Cumulative explained-variance curve of a basis over stored samples.
 
     Component i contributes e_i = sum_t <v_i, x_t>^2 / sum_t ||x_t||^2
-    (samples mean-subtracted first when ``centered``); the curve is the
-    running sum of the e_i in component order.
+    over the samples as stored (pass ``center(store)`` to measure
+    mean-subtracted variance); the curve is the running sum of the e_i in
+    component order.
     """
     if space.dim != store.dim:
         raise DimensionMismatchError(
@@ -71,13 +70,13 @@ def explained_variance(
         )
     if store.count < 2:
         raise DegenerateDataError(f"need at least 2 samples, have {store.count}")
-    x = _centered_matrix(store, centered)
+    x = store.matrix()
     total = float((x**2).sum())
     if total <= 0.0:
-        raise DegenerateDataError("samples carry no variance under this convention")
+        raise DegenerateDataError("samples carry no variance")
     scores = space.components @ x
     shares = (scores**2).sum(axis=1) / total
-    return CurveSeries(values=np.cumsum(shares), label=label, centered=centered)
+    return CurveSeries(values=np.cumsum(shares), label=label)
 
 
 def curve_gap(a: CurveSeries, b: CurveSeries) -> float:
@@ -97,14 +96,8 @@ def mean_curve(runs, label: str = "") -> CurveSeries:
     length = len(runs[0])
     if any(len(r) != length for r in runs):
         raise DimensionMismatchError("curves must have equal length to average")
-    if any(r.centered != runs[0].centered for r in runs):
-        raise ValueError("cannot average curves computed under different conventions")
     stacked = np.stack([r.values for r in runs], axis=0)
-    return CurveSeries(
-        values=stacked.mean(axis=0),
-        label=label or f"mean of {len(runs)} runs",
-        centered=runs[0].centered,
-    )
+    return CurveSeries(values=stacked.mean(axis=0), label=label or f"mean of {len(runs)} runs")
 
 
 def eigenfunctions(space: EigenSpace, store: SampleStore) -> EigenfunctionMatrix:

@@ -30,7 +30,7 @@ def fixture_store(fixture_matrix):
 
 @pytest.fixture(scope="session")
 def fixture_batch_space(fixture_store):
-    return dual_pca(fixture_store, centered=False)
+    return dual_pca(fixture_store)
 
 
 @pytest.fixture(scope="session")

@@ -16,6 +16,7 @@ from streampca import (
     AdaptiveConfig,
     RngState,
     SampleStore,
+    center,
     curve_gap,
     dual_pca,
     eigenfunctions,
@@ -55,7 +56,7 @@ def cascade_bundle():
     times["generate"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    batch_space = dual_pca(store, centered=False)
+    batch_space = dual_pca(store)
     batch_curve = explained_variance(batch_space, store, label="batch")
     times["batch"] = time.perf_counter() - t
 
@@ -97,7 +98,7 @@ def test_criterion_1_oracle_equivalence():
         n = 2 + rng.below(11)  # n <= 12
         data = rng.gaussian((d, n))
         store = SampleStore.from_matrix(data)
-        space = dual_pca(store, centered=True)
+        space = dual_pca(center(store))
         xc = data - data.mean(axis=1, keepdims=True)
         cov = (xc @ xc.T) / (n - 1)
         w, q = sym_eig(cov)
@@ -121,7 +122,7 @@ def test_criterion_1_oracle_equivalence():
 def test_criterion_2_full_dimensional_gap():
     t0 = time.perf_counter()
     store, _ = synth("lowrank", d=500, n=100, params={"rank": 30, "sigma": 0.05}, seed=42)
-    batch_space = dual_pca(store, centered=False)
+    batch_space = dual_pca(store)
     batch_curve = explained_variance(batch_space, store, label="batch")
     cfg = AdaptiveConfig(space_limit=min(500, 100), processing_limit=100)
     state = run_adaptive(store, cfg)
@@ -220,7 +221,7 @@ def test_criterion_6_invariant_suite():
         assert np.all(np.diff(curve.values) >= -1e-12)
 
     # explained-variance / eigenvalue consistency
-    space = dual_pca(store, centered=False)
+    space = dual_pca(store)
     ratios = np.cumsum(space.eigenvalues) / space.eigenvalues.sum()
     consistency = float(np.max(np.abs(batch_curve.values - ratios)))
     assert consistency <= 1e-9
@@ -252,7 +253,7 @@ def test_criterion_6_invariant_suite():
 
 def test_criterion_7_eigenfunction_quadrature():
     store, _ = synth("traveling_wave", d=64, n=40, params={"speed": 1.6}, seed=0)
-    space = dual_pca(store, centered=False)
+    space = dual_pca(store)
     funcs = eigenfunctions(space, store).values
 
     t = np.arange(40)

@@ -11,6 +11,7 @@ from streampca import (
     RankZeroError,
     RngState,
     SampleStore,
+    center,
     dual_pca,
     gram,
     project,
@@ -52,7 +53,7 @@ class TestGram:
 
     def test_identical_samples_center_to_zero(self):
         store = SampleStore.from_matrix([[1.0, 1.0], [0.0, 0.0]])
-        assert np.array_equal(gram(store, centered=True), np.zeros((2, 2)))
+        assert np.array_equal(gram(center(store)), np.zeros((2, 2)))
 
     def test_insufficient_data(self):
         store = SampleStore(2)
@@ -160,7 +161,7 @@ class TestDualPca:
         # oracle: the d x d covariance built explicitly, fed to the same solver
         data = RngState(1).gaussian((20, 8))
         store = SampleStore.from_matrix(data)
-        space = dual_pca(store, centered=True)
+        space = dual_pca(center(store))
         xc = data - data.mean(axis=1, keepdims=True)
         cov = (xc @ xc.T) / (data.shape[1] - 1)
         w, q = sym_eig(cov)
@@ -172,8 +173,8 @@ class TestDualPca:
         # Gram eigenvector u maps to the primal component along X u
         data = RngState(14).gaussian((30, 6))
         store = SampleStore.from_matrix(data)
-        space = dual_pca(store, centered=False)
-        mu, u = sym_eig(gram(store, centered=False))
+        space = dual_pca(store)
+        mu, u = sym_eig(gram(store))
         for i in range(len(space)):
             mapped = data @ u[:, i]
             assert _angle(space.components[i], mapped) <= 1e-8
@@ -188,20 +189,20 @@ class TestDualPca:
         for centered in (False, True):
             data = RngState(33).gaussian((25, 7))
             store = SampleStore.from_matrix(data)
-            space = dual_pca(store, centered=centered)
+            space = dual_pca(center(store) if centered else store)
             x = data - data.mean(axis=1, keepdims=True) if centered else data
             total = (x**2).sum() / (store.count - 1)
             assert abs(space.eigenvalues.sum() - total) <= 1e-9 * total
 
     def test_centered_rank_cap(self):
         data = RngState(2).gaussian((12, 6))
-        space = dual_pca(SampleStore.from_matrix(data), centered=True)
+        space = dual_pca(center(SampleStore.from_matrix(data)))
         assert len(space) <= 5
 
     def test_rank_zero_error(self):
         store = SampleStore.from_matrix([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
         with pytest.raises(RankZeroError):
-            dual_pca(store, centered=True)
+            dual_pca(center(store))
 
 
 class TestProjectReconstruct:
@@ -229,7 +230,7 @@ class TestProjectReconstruct:
     def test_round_trip_within_span(self):
         data = RngState(12).gaussian((10, 10))
         store = SampleStore.from_matrix(data)
-        space = dual_pca(store, centered=False)
+        space = dual_pca(store)
         for j in range(store.count):
             x = store[j]
             back = reconstruct(space, project(space, x))
@@ -252,7 +253,7 @@ class TestOracleEquivalenceProperty:
             n = 2 + rng.below(11)
             data = rng.gaussian((d, n))
             store = SampleStore.from_matrix(data)
-            space = dual_pca(store, centered=True)
+            space = dual_pca(center(store))
             xc = data - data.mean(axis=1, keepdims=True)
             cov = (xc @ xc.T) / (n - 1)
             w, q = sym_eig(cov)

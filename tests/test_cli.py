@@ -219,6 +219,26 @@ class TestCompare:
         record = json.loads((out / "meta.json").read_text())
         assert record["config"]["centered"] is True
 
+    def test_centered_curves_match_library(self, tmp_path):
+        # --centered curves are the library's curves of center(store), float for float
+        dataset = ["--synth", "lowrank", "--d", "40", "--n", "30", "--rank", "4"]
+        dataset += ["--sigma", "0.05", "--seed", "7"]
+        run = ["compare", *dataset, "--mode", "adaptive-limited", "--space-limit", "6"]
+        assert main([*run, "--centered", "--out", str(tmp_path / "centered")]) == 0
+        assert main([*run, "--out", str(tmp_path / "raw")]) == 0
+        store, _ = streampca.synth(
+            "lowrank", d=40, n=30, params={"rank": 4, "sigma": 0.05}, seed=7
+        )
+        centered = streampca.center(store)
+        batch = streampca.explained_variance(streampca.dual_pca(centered), centered)
+        config = streampca.AdaptiveConfig(space_limit=6, processing_limit=30)
+        state = streampca.run_adaptive(centered, config)
+        adaptive = streampca.explained_variance(state.eigenspace(), centered)
+        for label, curve in (("batch", batch), ("adaptive", adaptive)):
+            got = _column(tmp_path / "centered" / "curves.csv", label)
+            assert got == curve.values.tolist()
+            assert got != _column(tmp_path / "raw" / "curves.csv", label)
+
 
 class TestEigenfunctions:
     def test_toy_axis_stream_returns_coordinates(self, tmp_path):
@@ -373,6 +393,23 @@ class TestCounters:
         )
         assert rc == 1
         assert "one seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rejects_empty_seed_range(self, tmp_path, capsys):
+        # an explicit empty range is not an omitted --seeds: no fallback to seed 0
+        out = tmp_path / "run"
+        rc = main(
+            [
+                "counters",
+                "--synth", "lowrank",
+                "--d", "20",
+                "--n", "60",
+                "--seeds", "5..3",
+                "--out", str(out),
+            ]
+        )
+        assert rc == 1
+        assert "stochastic mode needs at least one seed" in capsys.readouterr().err
         assert not out.exists()
 
     def test_rejects_batch_mode(self, tmp_path):
@@ -551,6 +588,14 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "compare" in proc.stdout
+
+
+def test_readme_quickstart_runs(capsys):
+    # README's first python block is self-contained and must run as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    quickstart = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(quickstart, "README.md", "exec"), {})
+    assert "percentage points" in capsys.readouterr().out
 
 
 def test_readme_examples_parse():

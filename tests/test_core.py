@@ -11,41 +11,11 @@ from streampca import (
     OpCounter,
     RngState,
     SampleStore,
-    dot,
     normalize,
     sample_indices,
 )
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
-
-
-class TestDot:
-    def test_orthogonal_axes(self):
-        assert dot([1, 0, 0], [0, 1, 0]) == 0.0
-
-    def test_direct_substitution(self):
-        assert dot([1, 2], [1, 2]) == 5.0
-
-    def test_symmetry_cancellation(self):
-        assert dot([0.5, -0.5], [2, 2]) == 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            dot([1, 2], [1, 2, 3])
-
-    def test_counter_increments(self):
-        counter = OpCounter()
-        dot([1.0, 2.0], [3.0, 4.0], counter)
-        dot([1.0, 2.0], [3.0, 4.0], counter)
-        assert counter.dot_products == 2
-        dot([1.0, 2.0], [3.0, 4.0])
-        assert counter.dot_products == 2
-
-    @given(st.lists(finite, min_size=1, max_size=20))
-    def test_symmetric(self, values):
-        a = np.array(values)
-        b = a[::-1].copy()
-        assert dot(a, b) == dot(b, a)
 
 
 class TestNormalize:
@@ -161,13 +131,12 @@ class TestRngState:
 class TestOpCounter:
     def test_scripted_sequence_totals(self):
         counter = OpCounter()
-        a = np.arange(4.0)
         # 3 dots in step 1, 5 in step 2: totals must match the script exactly
         for _ in range(3):
-            dot(a, a, counter)
+            counter.add()
         counter.mark_step(1)
         for _ in range(5):
-            dot(a, a, counter)
+            counter.add()
         counter.mark_step(2)
         assert counter.dot_products == 8
         assert counter.per_step_log == [(1, 3), (2, 5)]

@@ -148,20 +148,20 @@ class TestPgmSequence:
 class TestSynth:
     def test_lowrank_exact_rank(self):
         store, _ = synth("lowrank", d=50, n=30, params={"rank": 3, "sigma": 0.0}, seed=2)
-        space = dual_pca(store, centered=False)
+        space = dual_pca(store)
         curve = explained_variance(space, store)
         assert abs(curve.values[2] - 1.0) <= 1e-9
 
     def test_traveling_wave_rank_two(self):
         for speed in (0.5, 1.0, 3.7):
             store, _ = synth("traveling_wave", d=64, n=40, params={"speed": speed})
-            space = dual_pca(store, centered=False)
+            space = dual_pca(store)
             curve = explained_variance(space, store)
             assert abs(curve.values[min(1, len(curve) - 1)] - 1.0) <= 1e-9
 
     def test_cascade_concentrates_variance(self):
         store, _ = synth("cascade", d=300, n=80, seed=9)
-        space = dual_pca(store, centered=False)
+        space = dual_pca(store)
         curve = explained_variance(space, store)
         assert curve.values[19] >= 0.98
 

@@ -11,6 +11,7 @@ from streampca import (
     EigenSpace,
     RngState,
     SampleStore,
+    center,
     curve_gap,
     dual_pca,
     eigenfunctions,
@@ -46,7 +47,7 @@ class TestExplainedVariance:
 
     def test_truncated_space_on_exact_low_rank(self):
         store, _ = synth("lowrank", d=30, n=20, params={"rank": 3, "sigma": 0.0}, seed=5)
-        space = dual_pca(store, centered=False)
+        space = dual_pca(store)
         truncated = EigenSpace(dim=30, components=space.components[:7])
         curve = explained_variance(truncated, store)
         assert abs(curve.values[2] - 1.0) <= 1e-9
@@ -56,8 +57,10 @@ class TestExplainedVariance:
         for centered in (False, True):
             data = RngState(13).gaussian((15, 9))
             store = SampleStore.from_matrix(data)
-            space = dual_pca(store, centered=centered)
-            curve = explained_variance(space, store, centered=centered)
+            if centered:
+                store = center(store)
+            space = dual_pca(store)
+            curve = explained_variance(space, store)
             ratios = np.cumsum(space.eigenvalues) / space.eigenvalues.sum()
             assert np.max(np.abs(curve.values - ratios)) <= 1e-9
 
@@ -157,7 +160,7 @@ class TestEigenfunctions:
     def test_traveling_wave_quadrature(self):
         # speed chosen so the window covers exactly one temporal period
         store, _ = synth("traveling_wave", d=64, n=40, params={"speed": 1.6}, seed=0)
-        space = dual_pca(store, centered=False)
+        space = dual_pca(store)
         assert len(space) == 2
         funcs = eigenfunctions(space, store).values
         t = np.arange(40)
