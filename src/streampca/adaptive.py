@@ -27,6 +27,7 @@ import numpy as np
 
 from .batch import EigenSpace
 from .core import (
+    DEGENERATE_TOL,
     DegenerateVectorError,
     DimensionMismatchError,
     NonFiniteSampleError,
@@ -41,25 +42,17 @@ from .core import (
 
 @dataclass
 class AdaptiveConfig:
-    """Knobs for the streaming update.
+    """The streaming update's two knobs and its sampler seed.
 
     space_limit: maximum number of components maintained.
     processing_limit: maximum number of previous samples correlated with
         the new sample per component per step; smaller than n triggers
         the stochastic regime.
-    reorthogonalize: re-project each updated component against the ones
-        updated before it within the same step. The raw update only
-        deflates the sample workspace, so without this the basis slowly
-        loses pairwise orthogonality; switch it off to study the
-        unmodified update.
-    degenerate_tol: norm below which a residual component is dropped.
     seed: seed for the sampling generator (stochastic regime only).
     """
 
     space_limit: int
     processing_limit: int
-    reorthogonalize: bool = True
-    degenerate_tol: float = 1e-12
     seed: int = 0
 
     def __post_init__(self):
@@ -78,7 +71,6 @@ class AdaptiveState:
     config: AdaptiveConfig
     store: SampleStore
     components: list = field(default_factory=list)
-    n: int = 0
     rng: RngState = None
     counter: OpCounter = field(default_factory=OpCounter)
     degenerate_events: list = field(default_factory=list)
@@ -86,6 +78,11 @@ class AdaptiveState:
     @property
     def dim(self) -> int:
         return self.store.dim
+
+    @property
+    def n(self) -> int:
+        """Time-steps consumed so far: one stored sample per step."""
+        return self.store.count
 
     def eigenspace(self) -> EigenSpace:
         """Snapshot of the current components as an EigenSpace."""
@@ -113,7 +110,7 @@ def initialize(x1, x2, config: AdaptiveConfig) -> AdaptiveState:
             f"first samples disagree in length: {a.shape[0]} vs {b.shape[0]}"
         )
     try:
-        v0 = normalize(b - a, tol=config.degenerate_tol)
+        v0 = normalize(b - a)
     except DegenerateVectorError as err:
         raise DegenerateVectorError(
             "first two samples coincide; supply the next distinct time-step as x2"
@@ -125,7 +122,6 @@ def initialize(x1, x2, config: AdaptiveConfig) -> AdaptiveState:
         config=config,
         store=store,
         components=[v0],
-        n=2,
         rng=RngState(config.seed),
     )
 
@@ -166,11 +162,12 @@ def ingest(state: AdaptiveState, x_new) -> AdaptiveState:
     A deflation workspace is built from the (sampled) previous columns
     plus the new sample, every maintained component is updated and
     re-normalized, and the summed residual of the fully deflated workspace
-    becomes the trailing component. A residual below ``degenerate_tol`` is
-    dropped and logged in ``state.degenerate_events`` as (time-step,
-    component position); the space regrows on later steps. The state
-    changes only once the whole step has succeeded, so any raised error
-    leaves it as it was.
+    becomes the trailing component. A residual whose norm is at or below
+    ``core.DEGENERATE_TOL`` is dropped and logged in
+    ``state.degenerate_events`` as (time-step, component position); the
+    space regrows on later steps. A finite sample so large that the step
+    overflows raises NonFiniteSampleError. The state changes only once
+    the whole step has succeeded, so any raised error leaves it as it was.
     """
     x = _finite_sample(x_new)
     if x.shape[0] != state.dim:
@@ -186,25 +183,32 @@ def ingest(state: AdaptiveState, x_new) -> AdaptiveState:
     w = np.column_stack((state.store.matrix(columns=indices), x))
     components = list(state.components)
     updated = min(min(n, cfg.space_limit) - 1, len(components))
-    for i in range(updated):
-        v = components[i]
-        vt = update_component(v, w[:, :k], w[:, k])
-        vnew = vt + float(vt @ v) * v
-        if cfg.reorthogonalize:
+    try:
+        for i in range(updated):
+            v = components[i]
+            vt = update_component(v, w[:, :k], w[:, k])
+            vnew = vt + float(vt @ v) * v
+            # the raw update only deflates the workspace, not the components updated before it
             for prev in components[:i]:
                 vnew = vnew - float(vnew @ prev) * prev
-        nrm = math.sqrt(float(vnew @ vnew))
-        if nrm <= cfg.degenerate_tol:
-            raise DegenerateVectorError(
-                f"component {i + 1} degenerated at time-step {n + 1}"
-            )
-        vnew = vnew / nrm
-        components[i] = vnew
-        w -= np.outer(vnew, vnew @ w)
-    residual = w.sum(axis=1)
-    nrm = math.sqrt(float(residual @ residual))
+            nrm = math.sqrt(float(vnew @ vnew))
+            if not math.isfinite(nrm):
+                raise OverflowError(f"component {i + 1} has norm {nrm}")
+            # v~.v >= 1 keeps the norm >= 2 up to the re-projection, which cancels a
+            # component lying in the span of those before it (a kept rounding residual)
+            if nrm <= DEGENERATE_TOL:
+                raise DegenerateVectorError(f"component {i + 1} degenerated at time-step {n + 1}")
+            vnew = vnew / nrm
+            components[i] = vnew
+            w -= np.outer(vnew, vnew @ w)
+        residual = w.sum(axis=1)
+        nrm = math.sqrt(float(residual @ residual))
+        if not math.isfinite(nrm):
+            raise OverflowError(f"residual has norm {nrm}")
+    except OverflowError as err:
+        raise NonFiniteSampleError(f"time-step {n + 1} overflows the update: {err}") from err
     position = min(n, cfg.space_limit)
-    degenerate = nrm <= cfg.degenerate_tol
+    degenerate = nrm <= DEGENERATE_TOL
     if not degenerate:
         residual = residual / nrm
         if len(components) < position:
@@ -213,16 +217,13 @@ def ingest(state: AdaptiveState, x_new) -> AdaptiveState:
             components[position - 1] = residual
     # commit. Per updated component i: 2k + 2 in update_component, 1 for the
     # share, i to reorthogonalize, 1 for the norm, k + 1 to deflate; 1 for the residual
-    state.counter.add(
-        sum(3 * k + 5 + (i if cfg.reorthogonalize else 0) for i in range(updated)) + 1
-    )
+    state.counter.add(updated * (3 * k + 5) + updated * (updated - 1) // 2 + 1)
     state.store.append(x)
     if degenerate:
         state.degenerate_events.append((n + 1, position))
     state.components = components
     state.rng = rng
-    state.n = n + 1
-    state.counter.mark_step(state.n)
+    state.counter.mark_step(n + 1)
     return state
 
 

@@ -343,11 +343,14 @@ def _dataset_from_args(args) -> dict:
 
 def _config_from_args(args) -> ExperimentConfig:
     seeds = args.seeds
+    stochastic = args.mode == "adaptive-stochastic"
     if seeds is None:  # omitted, unlike an empty range, which the stochastic mode rejects
-        stochastic_counters = args.command == "counters" and args.mode == "adaptive-stochastic"
-        seeds = [0] if stochastic_counters else []  # counters runs one stream, seed 0 by default
+        # counters runs one stream, seed 0 by default
+        seeds = [0] if stochastic and args.command == "counters" else []
+    elif not stochastic:  # validate cannot tell an explicit empty range from an omitted flag
+        raise ValueError(f"{args.mode} mode takes no processing_limit or seeds")
     processing_limit = args.processing_limit
-    if args.mode == "adaptive-stochastic" and processing_limit is None:
+    if stochastic and processing_limit is None:
         processing_limit = STOCHASTIC_LIMIT
     return ExperimentConfig(
         dataset=_dataset_from_args(args),

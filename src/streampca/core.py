@@ -14,6 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+DEGENERATE_TOL = 1e-12  # a vector whose norm is at or below this has no direction
+
+
 class StreamPcaError(Exception):
     """Base class for every error raised by this package."""
 
@@ -43,7 +46,8 @@ class ConvergenceError(StreamPcaError):
 
 
 class NonFiniteSampleError(StreamPcaError):
-    """A sample holds NaN or infinite entries."""
+    """A sample holds NaN or infinite entries, or is finite but so large that
+    its norm or a streaming step on it overflows."""
 
 
 def _as_vector(x) -> np.ndarray:
@@ -148,12 +152,17 @@ class RngState:
         return self._mix_scalar(self._state)
 
     def _block_u64(self, m: int) -> np.ndarray:
-        steps = np.arange(1, m + 1, dtype=np.uint64)
-        z = np.uint64(self._state) + steps * np.uint64(_GAMMA)
+        # in place, so the peak is the block plus one shifted copy
+        z = np.arange(1, m + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self._state)
         self._state = (self._state + m * _GAMMA) & _MASK64
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        return z
 
     def uniform(self, size=None):
         """Uniform float64 draws in [0, 1) with 53-bit resolution."""
@@ -173,14 +182,23 @@ class RngState:
         m = 1 if scalar else int(np.prod(size))
         pairs = (m + 1) // 2
         words = self._block_u64(2 * pairs)
-        # u1 in (0, 1] so the log is finite
-        u1 = ((words[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _U53
-        u2 = (words[1::2] >> np.uint64(11)).astype(np.float64) * _U53
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
+        # in place, so no more than two output-sized arrays are alive at once
+        words >>= np.uint64(11)
+        r = words[0::2].astype(np.float64)
+        theta = words[1::2].astype(np.float64)
+        del words
+        r += 1.0  # u1 in (0, 1] so the log is finite
+        r *= _U53
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        theta *= _U53
+        theta *= 2.0 * np.pi
         out = np.empty(2 * pairs)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
+        np.cos(theta, out=out[0::2])
+        np.sin(theta, out=out[1::2])
+        out[0::2] *= r
+        out[1::2] *= r
         if scalar:
             return float(out[0])
         return out[:m].reshape(size)
@@ -219,12 +237,15 @@ class OpCounter:
         self._marked = self.dot_products
 
 
-def normalize(v, tol: float = 1e-12) -> np.ndarray:
-    """Return v / ||v||, raising DegenerateVectorError when ||v|| <= tol."""
+def normalize(v) -> np.ndarray:
+    """Return v / ||v||, raising DegenerateVectorError when ||v|| <= DEGENERATE_TOL
+    and NonFiniteSampleError when ||v|| is not finite."""
     vec = _as_vector(v)
     nrm = math.sqrt(float(vec @ vec))
-    if nrm <= tol:
-        raise DegenerateVectorError(f"vector norm {nrm:.3e} is at or below tol {tol:.3e}")
+    if not math.isfinite(nrm):
+        raise NonFiniteSampleError(f"vector norm is {nrm}")
+    if nrm <= DEGENERATE_TOL:
+        raise DegenerateVectorError(f"vector norm {nrm:.3e} is at or below {DEGENERATE_TOL:.0e}")
     return vec / nrm
 
 

@@ -412,6 +412,29 @@ class TestCounters:
         assert "stochastic mode needs at least one seed" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, mode", [("compare", "adaptive-limited"), ("counters", "adaptive-full")]
+    )
+    def test_rejects_empty_seed_range_outside_stochastic_mode(
+        self, tmp_path, capsys, command, mode
+    ):
+        # an explicit --seeds, even an empty range, is as wrong here as --seeds 5
+        out = tmp_path / "run"
+        rc = main(
+            [
+                command,
+                "--synth", "lowrank",
+                "--d", "20",
+                "--n", "30",
+                "--mode", mode,
+                "--seeds", "5..3",
+                "--out", str(out),
+            ]
+        )
+        assert rc == 1
+        assert f"{mode} mode takes no processing_limit or seeds" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rejects_batch_mode(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(
