@@ -110,7 +110,8 @@ def initialize(x1, x2, config: AdaptiveConfig) -> AdaptiveState:
             f"first samples disagree in length: {a.shape[0]} vs {b.shape[0]}"
         )
     try:
-        v0 = normalize(b - a)
+        with np.errstate(over="ignore"):
+            v0 = normalize(b - a)
     except DegenerateVectorError as err:
         raise DegenerateVectorError(
             "first two samples coincide; supply the next distinct time-step as x2"
@@ -159,10 +160,13 @@ def update_component(v, previous, new):
 def ingest(state: AdaptiveState, x_new) -> AdaptiveState:
     """Advance the stream by one time-step, updating the state in place.
 
-    A deflation workspace is built from the (sampled) previous columns
+    A deflation workspace is built from the (sampled) previous samples
     plus the new sample, every maintained component is updated and
     re-normalized, and the summed residual of the fully deflated workspace
-    becomes the trailing component. A residual whose norm is at or below
+    becomes the trailing component. The workspace is sample-major, one
+    row per sample, so each component's rank-1 deflation runs along
+    contiguous d-long rows; ``update_component`` sees its (d, k)
+    transpose. A residual whose norm is at or below
     ``core.DEGENERATE_TOL`` is dropped and logged in
     ``state.degenerate_events`` as (time-step, component position); the
     space regrows on later steps. A finite sample so large that the step
@@ -179,30 +183,39 @@ def ingest(state: AdaptiveState, x_new) -> AdaptiveState:
     rng = copy.copy(state.rng)
     indices = sample_indices(n, cfg.processing_limit, rng)
     k = len(indices)
-    # workspace columns: the sampled previous steps, then the new step
-    w = np.column_stack((state.store.matrix(columns=indices), x))
+    # workspace rows: the sampled previous steps, then the new step. rows is allocated
+    # only after matrix() returns, and the loop keeps no second copy: either would
+    # raise the peak memory of a run
+    sampled = state.store.matrix(columns=indices)
+    rows = np.empty((k + 1, state.dim))
+    rows[:k] = sampled.T
+    rows[k] = x
+    del sampled
+    previous, new = rows[:k].T, rows[k]
     components = list(state.components)
     updated = min(min(n, cfg.space_limit) - 1, len(components))
     try:
-        for i in range(updated):
-            v = components[i]
-            vt = update_component(v, w[:, :k], w[:, k])
-            vnew = vt + float(vt @ v) * v
-            # the raw update only deflates the workspace, not the components updated before it
-            for prev in components[:i]:
-                vnew = vnew - float(vnew @ prev) * prev
-            nrm = math.sqrt(float(vnew @ vnew))
-            if not math.isfinite(nrm):
-                raise OverflowError(f"component {i + 1} has norm {nrm}")
-            # v~.v >= 1 keeps the norm >= 2 up to the re-projection, which cancels a
-            # component lying in the span of those before it (a kept rounding residual)
-            if nrm <= DEGENERATE_TOL:
-                raise DegenerateVectorError(f"component {i + 1} degenerated at time-step {n + 1}")
-            vnew = vnew / nrm
-            components[i] = vnew
-            w -= np.outer(vnew, vnew @ w)
-        residual = w.sum(axis=1)
-        nrm = math.sqrt(float(residual @ residual))
+        # an overflow shows up as a non-finite norm below, so numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(updated):
+                v = components[i]
+                vt = update_component(v, previous, new)
+                vnew = vt + float(vt @ v) * v
+                # the raw update only deflates the workspace, not the components updated before it
+                for prev in components[:i]:
+                    vnew = vnew - float(vnew @ prev) * prev
+                nrm = math.sqrt(float(vnew @ vnew))
+                if not math.isfinite(nrm):
+                    raise OverflowError(f"component {i + 1} has norm {nrm}")
+                # v~.v >= 1 keeps the norm >= 2 up to the re-projection, which cancels a
+                # component lying in the span of those before it (a kept rounding residual)
+                if nrm <= DEGENERATE_TOL:
+                    raise DegenerateVectorError(f"component {i + 1} degenerated at time-step {n + 1}")
+                vnew = vnew / nrm
+                components[i] = vnew
+                rows -= np.outer(rows @ vnew, vnew)
+            residual = rows.sum(axis=0)
+            nrm = math.sqrt(float(residual @ residual))
         if not math.isfinite(nrm):
             raise OverflowError(f"residual has norm {nrm}")
     except OverflowError as err:
@@ -268,5 +281,6 @@ def oja_update(state: OjaState, x_new) -> OjaState:
         raise DimensionMismatchError(
             f"sample has {x.shape[0]} elements, component has {v.shape[0]}"
         )
-    updated = v + state.learning_rate * float(x @ v) * x
+    with np.errstate(over="ignore", invalid="ignore"):
+        updated = v + state.learning_rate * float(x @ v) * x
     return OjaState(component=normalize(updated), learning_rate=state.learning_rate)

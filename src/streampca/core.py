@@ -241,7 +241,8 @@ def normalize(v) -> np.ndarray:
     """Return v / ||v||, raising DegenerateVectorError when ||v|| <= DEGENERATE_TOL
     and NonFiniteSampleError when ||v|| is not finite."""
     vec = _as_vector(v)
-    nrm = math.sqrt(float(vec @ vec))
+    with np.errstate(over="ignore", invalid="ignore"):
+        nrm = math.sqrt(float(vec @ vec))
     if not math.isfinite(nrm):
         raise NonFiniteSampleError(f"vector norm is {nrm}")
     if nrm <= DEGENERATE_TOL:

@@ -1,6 +1,8 @@
 import contextlib
+import hashlib
 import itertools
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -21,6 +23,7 @@ from streampca import (
     curve_gap,
     ingest,
     initialize,
+    normalize,
     oja_update,
     run_adaptive,
     update_component,
@@ -151,7 +154,7 @@ class TestInitialize:
 
     def test_rejects_samples_whose_difference_overflows(self):
         cfg = AdaptiveConfig(space_limit=5, processing_limit=5)
-        with np.errstate(all="ignore"), pytest.raises(NonFiniteSampleError):
+        with pytest.raises(NonFiniteSampleError):
             initialize([0.0, 0.0, 0.0], [1e155, 0.0, 0.0], cfg)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -188,6 +191,20 @@ class TestUpdateComponent:
         w = np.array([[1.0, 1.0], [0.0, 1.0]])
         vt = update_component([0.0, 1.0], w[:, :1], w[:, 1])
         assert np.array_equal(vt, [9.0, 10.0])
+
+    def test_result_does_not_depend_on_layout(self):
+        rng = RngState(5)
+        v = normalize(rng.gaussian(50))
+        previous = rng.gaussian((50, 7))
+        new = rng.gaussian(50)
+        # ingest's sample-major workspace hands over F-ordered views of the same values
+        rows = np.empty((8, 50))
+        rows[:7] = previous.T
+        rows[7] = new
+        assert previous.flags.c_contiguous and not rows[:7].T.flags.c_contiguous
+        want = update_component(v, previous, new)
+        got = update_component(v, rows[:7].T, rows[7])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestIngest:
@@ -249,6 +266,24 @@ class TestIngest:
         for v in state.components:
             outside = v - q @ (q.T @ v)
             assert np.linalg.norm(outside) <= 1e-6
+
+    @pytest.mark.parametrize("processing", [40, 4], ids=["limited", "stochastic"])
+    def test_never_writes_into_stored_samples(self, processing):
+        # the step deflates its workspace in place; the samples it was copied from stay
+        data = RngState(63).gaussian((16, 32))
+        cfg = AdaptiveConfig(space_limit=5, processing_limit=processing, seed=2)
+        state = initialize(data[:, 0], data[:, 1], cfg)
+
+        def hashes(vectors):
+            return [hashlib.sha256(v.tobytes()).hexdigest() for v in vectors]
+
+        fed = hashes(data.T)
+        for j in range(2, 32):
+            before = hashes(state.store)
+            ingest(state, data[:, j])
+            assert hashes(state.store)[:j] == before
+        assert hashes(state.store) == fed
+        assert hashes(data.T) == fed
 
     def test_dimension_mismatch(self):
         state = initialize([1.0, 0.0], [0.0, 1.0], AdaptiveConfig(space_limit=4, processing_limit=4))
@@ -355,7 +390,7 @@ class TestIngest:
         cfg = AdaptiveConfig(space_limit=space, processing_limit=5)
         state = initialize([0.0, 0.0, 0.0], [scale, 0.0, 0.0], cfg)
         before = _snapshot(state)
-        with np.errstate(all="ignore"), pytest.raises(NonFiniteSampleError):
+        with pytest.raises(NonFiniteSampleError):
             ingest(state, [scale, 2 * scale, 0.0])
         assert _snapshot(state) == before
 
@@ -495,6 +530,36 @@ class TestOja:
     def test_unit_norm_enforced(self):
         with pytest.raises(ValueError):
             OjaState(component=np.array([2.0, 0.0]), learning_rate=0.1)
+
+
+def _overflowing_step(space, scale):
+    cfg = AdaptiveConfig(space_limit=space, processing_limit=5)
+    state = initialize([0.0, 0.0, 0.0], [scale, 0.0, 0.0], cfg)
+    ingest(state, [scale, 2 * scale, 0.0])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: _overflowing_step(5, 1e50),
+        lambda: _overflowing_step(5, 1e60),
+        lambda: _overflowing_step(1, 1e154),
+        lambda: initialize([0.0, 0.0, 0.0], [1e155, 0.0, 0.0], AdaptiveConfig(5, 5)),
+        lambda: initialize([-1e308, 0.0], [1e308, 0.0], AdaptiveConfig(5, 5)),
+        lambda: normalize([1e200, 0.0]),
+        lambda: oja_update(OjaState([1.0, 0.0], 0.1), [1e200, 1.0]),
+    ],
+    ids=[
+        "ingest-1e50", "ingest-1e60", "ingest-space1-1e154", "initialize-1e155",
+        "initialize-difference", "normalize-1e200", "oja-1e200",
+    ],
+)
+def test_overflow_raises_the_typed_error_not_a_warning(call):
+    # the step's norm checks turn an overflow into the typed error; numpy must not warn first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteSampleError):
+            call()
 
 
 class TestConfigValidation:
