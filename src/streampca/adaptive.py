@@ -183,14 +183,11 @@ def ingest(state: AdaptiveState, x_new) -> AdaptiveState:
     rng = copy.copy(state.rng)
     indices = sample_indices(n, cfg.processing_limit, rng)
     k = len(indices)
-    # workspace rows: the sampled previous steps, then the new step. rows is allocated
-    # only after matrix() returns, and the loop keeps no second copy: either would
-    # raise the peak memory of a run
-    sampled = state.store.matrix(columns=indices)
+    # workspace rows: the sampled previous steps, copied once, then the new step. The
+    # loop keeps no second copy, which would raise the peak memory of a run
     rows = np.empty((k + 1, state.dim))
-    rows[:k] = sampled.T
+    state.store.matrix(columns=indices, out=rows[:k].T)
     rows[k] = x
-    del sampled
     previous, new = rows[:k].T, rows[k]
     components = list(state.components)
     updated = min(min(n, cfg.space_limit) - 1, len(components))

@@ -71,7 +71,8 @@ def center(store: SampleStore) -> SampleStore:
     as given, so pass ``center(store)`` for mean-subtracted PCA.
     """
     x = store.matrix()
-    return SampleStore.from_matrix(x - x.mean(axis=1, keepdims=True))
+    # column-major, so the new store adopts the result without a copy
+    return SampleStore.from_matrix(np.subtract(x, x.mean(axis=1, keepdims=True), order="F"))
 
 
 def gram(store: SampleStore) -> np.ndarray:

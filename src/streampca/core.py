@@ -61,8 +61,9 @@ class SampleStore:
     """Growable ordered collection of equal-length time-step vectors.
 
     Insertion order is time order: index ``j`` holds time-step ``j``.
-    Stored vectors are float64 copies of whatever was appended; callers
-    must treat returned vectors as read-only.
+    Samples are read-only float64 vectors. ``append`` stores a copy;
+    ``from_matrix`` adopts an F-contiguous float64 matrix without copying
+    it, so the caller must not write to that matrix afterwards.
     """
 
     def __init__(self, dim: int):
@@ -73,13 +74,18 @@ class SampleStore:
 
     @classmethod
     def from_matrix(cls, x) -> "SampleStore":
-        """Build a store from a (dim, count) matrix whose columns are time-steps."""
-        m = np.asarray(x, dtype=np.float64)
+        """Build a store from a (dim, count) matrix whose columns are time-steps.
+
+        The samples are read-only views of one column-major float64 buffer:
+        the input itself when it already is one, else a single converted copy.
+        """
+        m = np.asarray(x, dtype=np.float64, order="F")
         if m.ndim != 2:
             raise DimensionMismatchError(f"expected a 2-D matrix, got shape {m.shape}")
         store = cls(m.shape[0])
-        for j in range(m.shape[1]):
-            store.append(m[:, j])
+        view = m.view()
+        view.flags.writeable = False
+        store._samples = list(view.T)
         return store
 
     @property
@@ -101,17 +107,20 @@ class SampleStore:
             raise DimensionMismatchError(
                 f"sample has {vec.shape[0]} elements, store holds {self.dim}-vectors"
             )
-        self._samples.append(vec.copy())
+        vec = vec.copy()
+        vec.flags.writeable = False
+        self._samples.append(vec)
 
-    def matrix(self, columns=None) -> np.ndarray:
-        """Fresh (dim, count) array of the stored samples, or of ``columns``."""
+    def matrix(self, columns=None, out=None) -> np.ndarray:
+        """Fresh (dim, count) array of the stored samples, or of ``columns``;
+        written into and returned as ``out`` when that is given."""
         if columns is None:
             cols = self._samples
         else:
             cols = [self._samples[j] for j in columns]
         if not cols:
-            return np.empty((self.dim, 0))
-        return np.stack(cols, axis=1)
+            return np.empty((self.dim, 0)) if out is None else out
+        return np.stack(cols, axis=1, out=out)
 
 
 _MASK64 = (1 << 64) - 1

@@ -303,7 +303,7 @@ def synth(
         speed = float(params.setdefault("speed", 1.0))
         i = np.arange(d)[:, None]
         t = np.arange(n)[None, :]
-        x = np.sin(2.0 * np.pi * (i - speed * t) / d)
+        x = np.sin(2.0 * np.pi * (i - speed * t) / d, order="F")
     elif generator == "rotating_blob":
         side = math.isqrt(d)
         if side * side != d:
@@ -311,7 +311,7 @@ def synth(
         radius = float(params.setdefault("radius_frac", 0.25)) * side
         width = float(params.setdefault("width_frac", 0.08)) * side
         yy, xx = np.mgrid[0:side, 0:side]
-        x = np.empty((d, n))  # one frame per column, written in place
+        x = np.empty((d, n), order="F")  # one contiguous frame per column, written in place
         for t in range(n):
             angle = 2.0 * np.pi * t / n
             cx = side / 2.0 + radius * np.cos(angle)

@@ -285,6 +285,23 @@ class TestIngest:
         assert hashes(state.store) == fed
         assert hashes(data.T) == fed
 
+    def test_stored_samples_refuse_writes(self):
+        data = RngState(1).gaussian((6, 8))
+        cfg = AdaptiveConfig(space_limit=4, processing_limit=8)
+        state = initialize(data[:, 0], data[:, 1], cfg)
+        twin = initialize(data[:, 0], data[:, 1], cfg)
+        for j in range(2, 5):
+            ingest(state, data[:, j])
+            ingest(twin, data[:, j])
+        with pytest.raises(ValueError):
+            state.store[0][0] = 99.0
+        with pytest.raises(ValueError):
+            next(iter(state.store))[0] = 99.0
+        for j in range(5, 8):
+            ingest(state, data[:, j])
+            ingest(twin, data[:, j])
+        assert np.array_equal(np.stack(state.components), np.stack(twin.components))
+
     def test_dimension_mismatch(self):
         state = initialize([1.0, 0.0], [0.0, 1.0], AdaptiveConfig(space_limit=4, processing_limit=4))
         with pytest.raises(DimensionMismatchError):

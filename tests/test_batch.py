@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,6 +67,21 @@ class TestGram:
         g = gram(store)
         assert np.array_equal(g, g.T)
         assert np.all(g.diagonal() >= 0.0)
+
+
+def test_center_holds_two_copies():
+    # the restacked samples and the centred result, which the new store adopts
+    d, n = 1024, 200
+    store = SampleStore.from_matrix(RngState(8).gaussian((d, n)))
+    tracemalloc.start()
+    try:
+        centred = center(store)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * d * n * 8
+    x = store.matrix()
+    assert np.array_equal(centred.matrix(), x - x.mean(axis=1, keepdims=True))
 
 
 class TestSymEig:

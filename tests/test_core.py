@@ -217,6 +217,41 @@ class TestSampleStore:
         store = SampleStore.from_matrix(m)
         assert np.array_equal(store.matrix(columns=[4, 0]), m[:, [4, 0]])
 
+    def test_matrix_fills_out(self):
+        store = SampleStore.from_matrix(RngState(5).gaussian((3, 5)))
+        rows = np.empty((3, 3))  # a (columns, dim) workspace, filled through its transpose
+        out = rows[:2].T
+        assert store.matrix(columns=[4, 0], out=out) is out
+        assert np.array_equal(out, store.matrix(columns=[4, 0]))
+
+    def test_adopts_a_column_major_float64_matrix(self):
+        m = np.asfortranarray(RngState(3).gaussian((4, 6)))
+        store = SampleStore.from_matrix(m)
+        assert all(np.shares_memory(store[j], m) for j in range(6))
+
+    def test_copies_any_other_matrix_once(self):
+        m = RngState(3).gaussian((4, 6))
+        kept = m.copy()
+        store = SampleStore.from_matrix(m)
+        m[:] = 99.0
+        assert np.array_equal(store.matrix(), kept)
+        assert store[0].base is not None and store[0].base is store[5].base
+
+    @pytest.mark.parametrize("build", ["append", "from_matrix"])
+    def test_samples_are_read_only(self, build):
+        m = RngState(4).gaussian((3, 4))
+        if build == "append":
+            store = SampleStore(3)
+            for j in range(4):
+                store.append(m[:, j])
+        else:
+            store = SampleStore.from_matrix(m)
+        with pytest.raises(ValueError):
+            store[0][0] = 99.0
+        with pytest.raises(ValueError):
+            next(iter(store))[1] = 99.0
+        assert np.array_equal(store.matrix(), m)
+
 
 def test_package_prng_is_splitmix64():
     # first outputs for seed 1234567 of the documented generator

@@ -177,7 +177,7 @@ class TestSynth:
             synth("rotating_blob", d=50, n=5)
 
     def test_rotating_blob_holds_at_most_two_copies(self):
-        # the generated matrix and the store's per-column copies, no frame list besides
+        # the generated matrix and at most one converted copy in the store, no frame list besides
         d, n = 1024, 200
         tracemalloc.start()
         try:
@@ -186,6 +186,17 @@ class TestSynth:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * d * n * 8
+
+    def test_rotating_blob_holds_one_copy(self):
+        # the frames are written column-major, so the store adopts the matrix as it is
+        d, n = 1024, 200
+        tracemalloc.start()
+        try:
+            synth("rotating_blob", d=d, n=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * d * n * 8
 
     def test_bit_reproducible(self):
         for gen, params in (
