@@ -16,7 +16,7 @@ space = dual_pca(store)
 curve = explained_variance(space, store)
 print(f"wave stream: rank {len(space)}, curve reaches {curve.values[-1]:.6f}")
 
-funcs = eigenfunctions(space, store).values
+funcs = eigenfunctions(space, store)
 t = np.arange(store.count)
 omega = 2.0 * np.pi * 1.6 / 64.0
 design = np.stack([np.cos(omega * t), np.sin(omega * t)], axis=1)
@@ -39,7 +39,7 @@ print(f"sum_i v_i f_i(t) reconstructs every sample to {err:.1e}")
 # faster as the index grows.
 store, _ = synth("rotating_blob", d=1024, n=60, seed=3)
 space = dual_pca(store)
-funcs = eigenfunctions(space, store).values
+funcs = eigenfunctions(space, store)
 print(f"\norbiting-bump stream: {len(space)} components")
 print(f"f1 is quasi-static: peak-to-peak {np.ptp(funcs[0]):.4f} around {funcs[0].mean():.3f}")
 print("score-series periods (steps between sign changes x2):")

@@ -10,14 +10,13 @@ __version__ = "0.1.0"
 from .adaptive import (
     AdaptiveConfig,
     AdaptiveState,
-    OjaState,
     ingest,
     initialize,
-    oja_update,
+    oja,
     run_adaptive,
     update_component,
 )
-from .batch import EigenSpace, center, dual_pca, gram, project, reconstruct, sym_eig
+from .batch import EigenSpace, center, dual_pca, gram, sym_eig
 from .core import (
     ConvergenceError,
     DegenerateDataError,
@@ -45,7 +44,6 @@ from .data import (
 )
 from .evaluate import (
     CurveSeries,
-    EigenfunctionMatrix,
     curve_gap,
     eigenfunctions,
     explained_variance,
@@ -63,12 +61,10 @@ __all__ = [
     "DegenerateVectorError",
     "DimensionMismatchError",
     "EigenSpace",
-    "EigenfunctionMatrix",
     "EmptyDatasetError",
     "InsufficientDataError",
     "MalformedFileError",
     "NonFiniteSampleError",
-    "OjaState",
     "OpCounter",
     "RankZeroError",
     "RngState",
@@ -86,10 +82,8 @@ __all__ = [
     "load_raw_volumes",
     "mean_curve",
     "normalize",
-    "oja_update",
-    "project",
+    "oja",
     "read_manifest",
-    "reconstruct",
     "run_adaptive",
     "sample_indices",
     "save_raw_volumes",

@@ -144,7 +144,13 @@ def update_component(v, previous, new):
     cheaper of the two equivalent forms.
 
     The result is NOT normalized. It costs 2 * previous.shape[1] + 2 inner
-    products; ``ingest`` charges them with the rest of its step.
+    products; ``ingest`` charges them with the rest of its step. The sums
+    are homogeneous of degree 6 in the data, so scaling every sample by s
+    weighs the identity term v by s^-6 against them: the data's units act
+    as a step size (README, "The update depends on the data's units"). The
+    deterministic cascade run gives EV@20 0.4405 at s=2^-12 and 0.9999 from
+    2^0 up; a 60x40 Gaussian stream's components at 2^2, 2^4 and 2^8 lie
+    3.2e-4, 7.7e-8 and 4.0e-14 from those at 2^20.
     """
     vec = _as_vector(v)
     xs = np.asarray(previous, dtype=np.float64)
@@ -172,6 +178,7 @@ def ingest(state: AdaptiveState, x_new) -> AdaptiveState:
     space regrows on later steps. A finite sample so large that the step
     overflows raises NonFiniteSampleError. The state changes only once
     the whole step has succeeded, so any raised error leaves it as it was.
+    The step inherits ``update_component``'s s^-6 dependence on the units.
     """
     x = _finite_sample(x_new)
     if x.shape[0] != state.dim:
@@ -227,13 +234,12 @@ def ingest(state: AdaptiveState, x_new) -> AdaptiveState:
             components[position - 1] = residual
     # commit. Per updated component i: 2k + 2 in update_component, 1 for the
     # share, i to reorthogonalize, 1 for the norm, k + 1 to deflate; 1 for the residual
-    state.counter.add(updated * (3 * k + 5) + updated * (updated - 1) // 2 + 1)
+    state.counter.charge(n + 1, updated * (3 * k + 5) + updated * (updated - 1) // 2 + 1)
     state.store.append(x)
     if degenerate:
         state.degenerate_events.append((n + 1, position))
     state.components = components
     state.rng = rng
-    state.counter.mark_step(n + 1)
     return state
 
 
@@ -255,29 +261,26 @@ def run_adaptive(samples, config: AdaptiveConfig) -> AdaptiveState:
     return state
 
 
-@dataclass
-class OjaState:
-    """Single-component Oja baseline: v <- normalize(v + lr * <x, v> x)."""
+def oja(samples, learning_rate: float) -> np.ndarray:
+    """Single-component Oja baseline: the unit component after the stream.
 
-    component: np.ndarray
-    learning_rate: float
-
-    def __post_init__(self):
-        self.component = _as_vector(self.component)
-        if abs(float(np.linalg.norm(self.component)) - 1.0) > 1e-12:
-            raise ValueError("Oja component must be unit-norm")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
-
-
-def oja_update(state: OjaState, x_new) -> OjaState:
-    """One Oja step on a new sample; returns a fresh state. NaN/Inf raise NonFiniteSampleError."""
-    x = _finite_sample(x_new)
-    v = state.component
-    if x.shape[0] != v.shape[0]:
-        raise DimensionMismatchError(
-            f"sample has {x.shape[0]} elements, component has {v.shape[0]}"
-        )
-    with np.errstate(over="ignore", invalid="ignore"):
-        updated = v + state.learning_rate * float(x @ v) * x
-    return OjaState(component=normalize(updated), learning_rate=state.learning_rate)
+    Starts from the normalized first sample and applies
+    v <- normalize(v + learning_rate * <x, v> x) for every later one. NaN,
+    Inf or an overflowing step raise NonFiniteSampleError.
+    """
+    if learning_rate <= 0:
+        raise ValueError(f"learning rate must be positive, got {learning_rate}")
+    iterator = iter(samples)
+    first = next(iterator, None)
+    if first is None:
+        raise ValueError("the Oja baseline needs at least one sample")
+    v = normalize(first)
+    for x_new in iterator:
+        x = _finite_sample(x_new)
+        if x.shape[0] != v.shape[0]:
+            raise DimensionMismatchError(
+                f"sample has {x.shape[0]} elements, component has {v.shape[0]}"
+            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = normalize(v + learning_rate * float(x @ v) * x)
+    return v

@@ -133,22 +133,3 @@ def dual_pca(store: SampleStore) -> EigenSpace:
     primal /= np.linalg.norm(primal, axis=0, keepdims=True)
     return EigenSpace(dim=store.dim, components=primal.T, eigenvalues=mu / (store.count - 1))
 
-
-def project(space: EigenSpace, x) -> np.ndarray:
-    """Scores of a sample against the basis: w_i = <v_i, x>."""
-    vec = np.asarray(x, dtype=np.float64)
-    if vec.ndim != 1 or vec.shape[0] != space.dim:
-        raise DimensionMismatchError(
-            f"sample has shape {vec.shape}, space dim is {space.dim}"
-        )
-    return space.components @ vec
-
-
-def reconstruct(space: EigenSpace, w) -> np.ndarray:
-    """Sample rebuilt from scores: sum_i w_i v_i."""
-    scores = np.asarray(w, dtype=np.float64)
-    if scores.ndim != 1 or scores.shape[0] != len(space):
-        raise DimensionMismatchError(
-            f"got {scores.shape} scores for {len(space)} components"
-        )
-    return space.components.T @ scores

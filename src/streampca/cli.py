@@ -24,12 +24,10 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .adaptive import AdaptiveConfig, OjaState, oja_update, run_adaptive
+from .adaptive import AdaptiveConfig, oja, run_adaptive
 from .batch import EigenSpace, center, dual_pca
-from .core import SampleStore, StreamPcaError, normalize
+from .core import SampleStore, StreamPcaError
 from .data import (
     GENERATORS,
     DatasetMeta,
@@ -120,14 +118,6 @@ def _adaptive_config(cfg: ExperimentConfig, store: SampleStore, seed=None) -> Ad
     return AdaptiveConfig(space_limit=space, processing_limit=cfg.processing_limit, seed=seed)
 
 
-def _oja_curve(store: SampleStore, learning_rate: float) -> CurveSeries:
-    state = OjaState(component=normalize(store[0]), learning_rate=learning_rate)
-    for j in range(1, store.count):
-        state = oja_update(state, store[j])
-    space = EigenSpace(dim=store.dim, components=state.component[None, :])
-    return explained_variance(space, store, label="oja")
-
-
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -187,7 +177,8 @@ def run_compare(cfg: ExperimentConfig) -> dict:
         curves.extend(stochastic)
         curves.append(mean_curve(stochastic, label="stochastic_mean"))
     if cfg.mode == "oja":
-        curves.append(_oja_curve(store, cfg.learning_rate))
+        space = EigenSpace(dim=store.dim, components=oja(store, cfg.learning_rate))
+        curves.append(explained_variance(space, store, label="oja"))
 
     gaps = {}
     gap_lines = []
@@ -227,8 +218,8 @@ def run_eigenfunctions(cfg: ExperimentConfig) -> dict:
         raise ValueError(f"components {cfg.components} are empty or out of range 1..{len(space)}")
     funcs = eigenfunctions(space, store)
     lines = ["t," + ",".join(f"f{c}" for c in cfg.components)]
-    for t in range(funcs.step_count):
-        cells = [str(t + 1)] + [_fmt(funcs.values[c - 1, t]) for c in cfg.components]
+    for t in range(funcs.shape[1]):
+        cells = [str(t + 1)] + [_fmt(funcs[c - 1, t]) for c in cfg.components]
         lines.append(",".join(cells))
 
     def write(staging: Path) -> None:

@@ -92,9 +92,6 @@ class SampleStore:
     def count(self) -> int:
         return len(self._samples)
 
-    def __len__(self) -> int:
-        return len(self._samples)
-
     def __getitem__(self, j: int) -> np.ndarray:
         return self._samples[j]
 
@@ -229,21 +226,17 @@ class OpCounter:
 
     Every Euclidean inner product of two data-dimension vectors counts
     once, including squared-norm evaluations; index bookkeeping and scalar
-    arithmetic are free. ``mark_step`` closes the current step, logging
-    (step_index, products consumed since the previous mark), so the
-    per-step log always sums to the total.
+    arithmetic are free. ``charge`` books one whole step, adding its count
+    to the total and logging (step_index, count), so the per-step log
+    always sums to the total.
     """
 
     dot_products: int = 0
     per_step_log: list = field(default_factory=list)
-    _marked: int = 0
 
-    def add(self, count: int = 1) -> None:
+    def charge(self, step_index: int, count: int) -> None:
         self.dot_products += count
-
-    def mark_step(self, step_index: int) -> None:
-        self.per_step_log.append((step_index, self.dot_products - self._marked))
-        self._marked = self.dot_products
+        self.per_step_log.append((step_index, count))
 
 
 def normalize(v) -> np.ndarray:

@@ -82,6 +82,18 @@ def read_manifest(path) -> list[Path]:
     return files
 
 
+def _time_ordered(pattern, manifest) -> list[Path]:
+    """The manifest's files when one is given, else the files matching the
+    glob ``pattern`` in lexicographic order."""
+    if manifest is not None:
+        return read_manifest(manifest)
+    path = Path(pattern)
+    files = sorted(path.parent.glob(path.name))
+    if not files:
+        raise EmptyDatasetError(f"no files match {str(pattern)!r}")
+    return files
+
+
 def load_raw_volumes(
     path_pattern: str,
     shape,
@@ -98,13 +110,7 @@ def load_raw_volumes(
     """
     shape = tuple(int(s) for s in shape)
     dt, maxval = _element_dtype(element_type, byte_order)
-    if manifest is not None:
-        files = read_manifest(manifest)
-    else:
-        pattern = Path(path_pattern)
-        files = sorted(pattern.parent.glob(pattern.name))
-    if not files:
-        raise EmptyDatasetError(f"no files match {path_pattern!r}")
+    files = _time_ordered(path_pattern, manifest)
     dim = int(np.prod(shape))
     expected_bytes = dim * dt.itemsize
     store = SampleStore(dim)
@@ -218,12 +224,7 @@ def load_pgm_sequence(
     integer values).
     """
     directory = Path(directory)
-    if manifest is not None:
-        files = read_manifest(manifest)
-    else:
-        files = sorted(directory.glob("*.pgm"))
-    if not files:
-        raise EmptyDatasetError(f"no PGM files in {directory}")
+    files = _time_ordered(directory / "*.pgm", manifest)
     store = None
     frame_shape = None
     element_type = "u8"
@@ -298,12 +299,18 @@ def synth(
     if generator == "lowrank":
         rank = int(params.setdefault("rank", 5))
         sigma = float(params.setdefault("sigma", 0.0))
-        x = _lowrank_matrix(d, n, rank, sigma, rng)
+        a = rng.gaussian((d, rank))
+        b = rng.gaussian((rank, n))
+        x = _plus_noise(a, b, sigma, rng) if sigma > 0.0 else a @ b
     elif generator == "traveling_wave":
         speed = float(params.setdefault("speed", 1.0))
         i = np.arange(d)[:, None]
         t = np.arange(n)[None, :]
-        x = np.sin(2.0 * np.pi * (i - speed * t) / d, order="F")
+        # 2 pi (i - speed t) / d, in place in one column-major buffer
+        x = np.subtract(i, speed * t, order="F")
+        x *= 2.0 * np.pi
+        x /= d
+        np.sin(x, out=x)
     elif generator == "rotating_blob":
         side = math.isqrt(d)
         if side * side != d:
@@ -329,7 +336,7 @@ def synth(
         for i in range(rank):
             phase = 2.0 * np.pi * rng.uniform()
             b[i] = decay**i * np.sin(2.0 * np.pi * 0.5 * (i + 1) * t / n + phase)
-        x = a @ b + sigma * rng.gaussian((d, n))
+        x = _plus_noise(a, b, sigma, rng)
 
     store = SampleStore.from_matrix(x)
     meta = DatasetMeta(
@@ -342,10 +349,10 @@ def synth(
     return store, meta
 
 
-def _lowrank_matrix(d: int, n: int, rank: int, sigma: float, rng: RngState) -> np.ndarray:
-    a = rng.gaussian((d, rank))
-    b = rng.gaussian((rank, n))
-    x = a @ b
-    if sigma > 0.0:
-        x = x + sigma * rng.gaussian((d, n))
+def _plus_noise(a, b, sigma: float, rng: RngState) -> np.ndarray:
+    """a @ b + sigma * N with N standard normal, summed into N's buffer so
+    no third dataset-sized array is alive."""
+    x = rng.gaussian((a.shape[0], b.shape[1]))
+    x *= sigma
+    x += a @ b
     return x

@@ -41,21 +41,6 @@ class CurveSeries:
         return self.values.size
 
 
-@dataclass
-class EigenfunctionMatrix:
-    """Per-component score time series: entry (i, t) is <v_i, x_t>."""
-
-    values: np.ndarray
-
-    @property
-    def component_count(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def step_count(self) -> int:
-        return self.values.shape[1]
-
-
 def explained_variance(space: EigenSpace, store: SampleStore, label: str = "") -> CurveSeries:
     """Cumulative explained-variance curve of a basis over stored samples.
 
@@ -100,8 +85,9 @@ def mean_curve(runs, label: str = "") -> CurveSeries:
     return CurveSeries(values=stacked.mean(axis=0), label=label or f"mean of {len(runs)} runs")
 
 
-def eigenfunctions(space: EigenSpace, store: SampleStore) -> EigenfunctionMatrix:
-    """Score time series f_i(t) = <v_i, x_t> for every component.
+def eigenfunctions(space: EigenSpace, store: SampleStore) -> np.ndarray:
+    """Score time series f_i(t) = <v_i, x_t> for every component, as a
+    (components, steps) array.
 
     Summing v_i * f_i(t) over i reproduces the projection of x_t onto the
     spanned subspace, so these are the temporal coefficients of the basis.
@@ -110,7 +96,7 @@ def eigenfunctions(space: EigenSpace, store: SampleStore) -> EigenfunctionMatrix
         raise DimensionMismatchError(
             f"space dim {space.dim} does not match store dim {store.dim}"
         )
-    return EigenfunctionMatrix(values=space.components @ store.matrix())
+    return space.components @ store.matrix()
 
 
 def subspace_overlap(a: EigenSpace, b: EigenSpace, k: int) -> float:

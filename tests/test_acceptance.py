@@ -254,7 +254,7 @@ def test_criterion_6_invariant_suite():
 def test_criterion_7_eigenfunction_quadrature():
     store, _ = synth("traveling_wave", d=64, n=40, params={"speed": 1.6}, seed=0)
     space = dual_pca(store)
-    funcs = eigenfunctions(space, store).values
+    funcs = eigenfunctions(space, store)
 
     t = np.arange(40)
     omega = 2.0 * np.pi * 1.6 / 64.0

@@ -15,7 +15,6 @@ from streampca import (
     DegenerateVectorError,
     DimensionMismatchError,
     NonFiniteSampleError,
-    OjaState,
     RngState,
     SampleStore,
     dual_pca,
@@ -24,8 +23,9 @@ from streampca import (
     ingest,
     initialize,
     normalize,
-    oja_update,
+    oja,
     run_adaptive,
+    synth,
     update_component,
 )
 
@@ -519,34 +519,65 @@ class TestStochasticAgreement:
             assert abs(val - det_val) <= 0.05
 
 
+class TestDataUnits:
+    # the update adds a degree-6 term to v, so scaling the data by s weighs the identity by s^-6
+
+    def test_components_converge_as_s_to_the_minus_six(self):
+        x = RngState(3).gaussian((60, 40))
+
+        def components(scale):
+            cfg = AdaptiveConfig(space_limit=10, processing_limit=40)
+            return np.stack(run_adaptive(SampleStore.from_matrix(x * scale), cfg).components)
+
+        limit = components(2.0**20)
+        far, near = (np.max(np.abs(components(2.0**e) - limit)) for e in (2, 4))
+        # 3.16e-4 at 2^2 and 7.73e-8 at 2^4: a ratio of 4088, about 4^6
+        assert 2.0**11 <= far / near <= 2.0**13
+
+    def test_small_units_lose_explained_variance(self):
+        store, _ = synth("lowrank", 200, 60, params={"rank": 5, "sigma": 0.05}, seed=1)
+        x = store.matrix()
+
+        def ev5(exponent):
+            scaled = SampleStore.from_matrix(x * 2.0**exponent)
+            state = run_adaptive(scaled, AdaptiveConfig(space_limit=5, processing_limit=60))
+            return explained_variance(state.eigenspace(), scaled).values[4]
+
+        # EV@5 is 0.97955 at 2^-12 and 0.99908 at 2^0
+        assert ev5(0) - ev5(-12) >= 0.01
+        assert abs(ev5(0) - ev5(6)) <= 1e-6
+
+
 class TestOja:
+    # each stream starts from its normalized first sample
     def test_orthogonal_sample_is_noop(self):
-        state = OjaState(component=np.array([1.0, 0.0]), learning_rate=0.7)
-        out = oja_update(state, [0.0, 1.0])
-        assert np.array_equal(out.component, [1.0, 0.0])
+        assert np.array_equal(oja([[1.0, 0.0], [0.0, 1.0]], 0.7), [1.0, 0.0])
 
     def test_collinear_sample_restores_component(self):
-        state = OjaState(component=np.array([1.0, 0.0]), learning_rate=1.0)
-        out = oja_update(state, [1.0, 0.0])
-        assert np.array_equal(out.component, [1.0, 0.0])
+        assert np.array_equal(oja([[1.0, 0.0], [1.0, 0.0]], 1.0), [1.0, 0.0])
 
     def test_quoted_rule_by_hand(self):
-        state = OjaState(component=np.array([1.0, 0.0]), learning_rate=0.5)
-        out = oja_update(state, [1.0, 1.0])
+        out = oja([[1.0, 0.0], [1.0, 1.0]], 0.5)
         expected = np.array([1.5, 0.5]) / math.sqrt(2.5)
-        assert np.allclose(out.component, expected, atol=1e-15)
-        assert abs(out.component[0] - 0.9486832980505138) <= 1e-12
-        assert abs(out.component[1] - 0.31622776601683794) <= 1e-12
+        assert np.allclose(out, expected, atol=1e-15)
+        assert abs(out[0] - 0.9486832980505138) <= 1e-12
+        assert abs(out[1] - 0.31622776601683794) <= 1e-12
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_sample(self, bad):
-        state = OjaState(component=np.array([1.0, 0.0]), learning_rate=0.1)
         with pytest.raises(NonFiniteSampleError):
-            oja_update(state, [bad, 1.0])
+            oja([[1.0, 0.0], [bad, 1.0]], 0.1)
 
     def test_unit_norm_enforced(self):
-        with pytest.raises(ValueError):
-            OjaState(component=np.array([2.0, 0.0]), learning_rate=0.1)
+        # a start sample of norm 2 still gives a unit component
+        assert np.array_equal(oja([[2.0, 0.0]], 0.1), [1.0, 0.0])
+
+    def test_rejects_bad_arguments(self):
+        for samples, rate in (([[1.0, 0.0], [0.0, 1.0]], 0.0), ([[1.0, 0.0]], -0.1), ([], 0.1)):
+            with pytest.raises(ValueError):
+                oja(samples, rate)
+        with pytest.raises(DimensionMismatchError):
+            oja([[1.0, 0.0], [1.0, 0.0, 0.0]], 0.1)
 
 
 def _overflowing_step(space, scale):
@@ -564,7 +595,7 @@ def _overflowing_step(space, scale):
         lambda: initialize([0.0, 0.0, 0.0], [1e155, 0.0, 0.0], AdaptiveConfig(5, 5)),
         lambda: initialize([-1e308, 0.0], [1e308, 0.0], AdaptiveConfig(5, 5)),
         lambda: normalize([1e200, 0.0]),
-        lambda: oja_update(OjaState([1.0, 0.0], 0.1), [1e200, 1.0]),
+        lambda: oja([[1.0, 0.0], [1e200, 1.0]], 0.1),
     ],
     ids=[
         "ingest-1e50", "ingest-1e60", "ingest-space1-1e154", "initialize-1e155",

@@ -15,8 +15,6 @@ from streampca import (
     center,
     dual_pca,
     gram,
-    project,
-    reconstruct,
     sym_eig,
 )
 
@@ -219,45 +217,6 @@ class TestDualPca:
         store = SampleStore.from_matrix([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
         with pytest.raises(RankZeroError):
             dual_pca(center(store))
-
-
-class TestProjectReconstruct:
-    def test_identity_projection(self):
-        space = EigenSpace(dim=2, components=np.eye(2))
-        assert np.array_equal(project(space, [3.0, 4.0]), [3.0, 4.0])
-
-    def test_orthogonal_sample(self):
-        space = EigenSpace(dim=2, components=[[1.0, 0.0]])
-        assert np.array_equal(project(space, [0.0, 5.0]), [0.0])
-
-    def test_collinear_sample(self):
-        r = 1.0 / math.sqrt(2.0)
-        space = EigenSpace(dim=2, components=[[r, r]])
-        assert abs(project(space, [1.0, 1.0])[0] - math.sqrt(2.0)) <= 1e-12
-
-    def test_reconstruct_identity(self):
-        space = EigenSpace(dim=2, components=np.eye(2))
-        assert np.array_equal(reconstruct(space, [3.0, 4.0]), [3.0, 4.0])
-
-    def test_reconstruct_single_component(self):
-        space = EigenSpace(dim=2, components=[[1.0, 0.0]])
-        assert np.array_equal(reconstruct(space, [2.0]), [2.0, 0.0])
-
-    def test_round_trip_within_span(self):
-        data = RngState(12).gaussian((10, 10))
-        store = SampleStore.from_matrix(data)
-        space = dual_pca(store)
-        for j in range(store.count):
-            x = store[j]
-            back = reconstruct(space, project(space, x))
-            assert np.max(np.abs(back - x)) <= 1e-9
-
-    def test_dimension_mismatches(self):
-        space = EigenSpace(dim=3, components=[[1.0, 0.0, 0.0]])
-        with pytest.raises(DimensionMismatchError):
-            project(space, [1.0, 2.0])
-        with pytest.raises(DimensionMismatchError):
-            reconstruct(space, [1.0, 2.0])
 
 
 class TestOracleEquivalenceProperty:

@@ -164,6 +164,19 @@ class TestCompare:
         assert len(oja) == 1
         assert 0.0 <= oja[0] <= 1.0
 
+    def test_oja_curve_is_the_library_component(self, tmp_path):
+        # the oja column of test_oja_mode's run is explained_variance of oja() on its store
+        store, _ = streampca.synth("lowrank", d=30, n=20, params={"rank": 2, "sigma": 0.01})
+        space = streampca.EigenSpace(dim=30, components=streampca.oja(store, 0.05))
+        value = repr(float(streampca.explained_variance(space, store).values[0]))
+        assert value == "0.52846094437307"  # frozen from the verified run
+        argv = ["compare", "--synth", "lowrank", "--d", "30", "--n", "20", "--rank", "2",
+                "--sigma", "0.01", "--mode", "oja", "--learning-rate", "0.05"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        header, rows = _read_csv(tmp_path / "curves.csv")
+        assert header == ["component", "batch", "oja"]
+        assert rows[0][2] == value
+
     def test_byte_identical_reruns(self, tmp_path):
         args = [
             "compare",
@@ -631,3 +644,11 @@ def test_readme_examples_parse():
     for argv in commands:
         args = cli.build_parser().parse_args(argv[1:])
         cli._config_from_args(args).validate(args.n)
+
+
+def test_public_names_resolve():
+    for name in streampca.__all__:
+        assert getattr(streampca, name) is not None
+    for gone in ("project", "reconstruct", "EigenfunctionMatrix", "OjaState", "oja_update"):
+        assert gone not in streampca.__all__
+        assert not hasattr(streampca, gone)

@@ -154,30 +154,23 @@ class TestOpCounter:
     def test_scripted_sequence_totals(self):
         counter = OpCounter()
         # 3 dots in step 1, 5 in step 2: totals must match the script exactly
-        for _ in range(3):
-            counter.add()
-        counter.mark_step(1)
-        for _ in range(5):
-            counter.add()
-        counter.mark_step(2)
+        counter.charge(1, 3)
+        counter.charge(2, 5)
         assert counter.dot_products == 8
         assert counter.per_step_log == [(1, 3), (2, 5)]
 
     def test_log_sums_to_total(self):
         counter = OpCounter()
         rng = RngState(0)
-        step = 0
-        for _ in range(20):
-            counter.add(int(rng.below(7)))
-            step += 1
-            counter.mark_step(step)
+        for step in range(1, 21):
+            counter.charge(step, int(rng.below(7)))
         assert sum(c for _, c in counter.per_step_log) == counter.dot_products
 
     def test_monotone(self):
         counter = OpCounter()
         seen = [counter.dot_products]
-        for k in (1, 3, 2):
-            counter.add(k)
+        for step, k in enumerate((1, 3, 2), start=1):
+            counter.charge(step, k)
             seen.append(counter.dot_products)
         assert all(b >= a for a, b in zip(seen, seen[1:]))
 

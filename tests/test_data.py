@@ -198,6 +198,26 @@ class TestSynth:
             tracemalloc.stop()
         assert peak < 1.5 * d * n * 8
 
+    @pytest.mark.parametrize(
+        "gen, params, copies",
+        [
+            # the argument is built in place in the column-major output
+            ("traveling_wave", {"speed": 1.3}, 1.5),
+            # the noise buffer takes a @ b, and the store makes its one column-major copy
+            ("lowrank", {"rank": 5, "sigma": 0.1}, 2.5),
+            ("cascade", {}, 2.5),
+        ],
+    )
+    def test_generator_peak_copies(self, gen, params, copies):
+        d, n = 1024, 200
+        tracemalloc.start()
+        try:
+            synth(gen, d=d, n=n, params=params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < copies * d * n * 8
+
     def test_bit_reproducible(self):
         for gen, params in (
             ("lowrank", {"rank": 4, "sigma": 0.1}),

@@ -150,11 +150,11 @@ class TestEigenfunctions:
         store = SampleStore.from_matrix([[1.0, 0.0], [0.0, 1.0]])
         space = EigenSpace(dim=2, components=np.eye(2))
         funcs = eigenfunctions(space, store)
-        assert np.array_equal(funcs.values, np.eye(2))
+        assert np.array_equal(funcs, np.eye(2))
 
     def test_full_basis_reconstructs_samples(self, fixture_store, fixture_batch_space):
         funcs = eigenfunctions(fixture_batch_space, fixture_store)
-        approx = fixture_batch_space.components.T @ funcs.values
+        approx = fixture_batch_space.components.T @ funcs
         assert np.max(np.abs(approx - fixture_store.matrix())) <= 1e-9
 
     def test_traveling_wave_quadrature(self):
@@ -162,7 +162,7 @@ class TestEigenfunctions:
         store, _ = synth("traveling_wave", d=64, n=40, params={"speed": 1.6}, seed=0)
         space = dual_pca(store)
         assert len(space) == 2
-        funcs = eigenfunctions(space, store).values
+        funcs = eigenfunctions(space, store)
         t = np.arange(40)
         omega = 2.0 * np.pi * 1.6 / 64.0
         design = np.stack([np.cos(omega * t), np.sin(omega * t)], axis=1)
