@@ -89,10 +89,13 @@ class AdaptiveState:
         return EigenSpace(dim=self.dim, components=np.stack(self.components, axis=0))
 
 
-def _finite_sample(x) -> np.ndarray:
+def _finite_sample(x, dim=None) -> np.ndarray:
+    """``x`` as a vector, checked to be finite and then, given ``dim``, to be that long."""
     v = _as_vector(x)
     if not np.all(np.isfinite(v)):
         raise NonFiniteSampleError("sample has NaN or infinite entries")
+    if dim is not None and v.shape[0] != dim:
+        raise DimensionMismatchError(f"sample has {v.shape[0]} elements, expected {dim}")
     return v
 
 
@@ -104,11 +107,7 @@ def initialize(x1, x2, config: AdaptiveConfig) -> AdaptiveState:
     x2), and so are non-finite samples (NonFiniteSampleError).
     """
     a = _finite_sample(x1)
-    b = _finite_sample(x2)
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatchError(
-            f"first samples disagree in length: {a.shape[0]} vs {b.shape[0]}"
-        )
+    b = _finite_sample(x2, a.shape[0])
     try:
         with np.errstate(over="ignore"):
             v0 = normalize(b - a)
@@ -180,11 +179,7 @@ def ingest(state: AdaptiveState, x_new) -> AdaptiveState:
     the whole step has succeeded, so any raised error leaves it as it was.
     The step inherits ``update_component``'s s^-6 dependence on the units.
     """
-    x = _finite_sample(x_new)
-    if x.shape[0] != state.dim:
-        raise DimensionMismatchError(
-            f"sample has {x.shape[0]} elements, stream carries {state.dim}-vectors"
-        )
+    x = _finite_sample(x_new, state.dim)
     cfg = state.config
     n = state.n
     rng = copy.copy(state.rng)
@@ -276,11 +271,7 @@ def oja(samples, learning_rate: float) -> np.ndarray:
         raise ValueError("the Oja baseline needs at least one sample")
     v = normalize(first)
     for x_new in iterator:
-        x = _finite_sample(x_new)
-        if x.shape[0] != v.shape[0]:
-            raise DimensionMismatchError(
-                f"sample has {x.shape[0]} elements, component has {v.shape[0]}"
-            )
+        x = _finite_sample(x_new, v.shape[0])
         with np.errstate(over="ignore", invalid="ignore"):
             v = normalize(v + learning_rate * float(x @ v) * x)
     return v

@@ -61,20 +61,6 @@ class ExperimentConfig:
     components: list
     output_dir: Path
 
-    def validate(self, n_steps: int) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode != "adaptive-stochastic":
-            if self.processing_limit is not None or self.seeds:
-                raise ValueError(f"{self.mode} mode takes no processing_limit or seeds")
-            return
-        if self.processing_limit >= n_steps:
-            raise ValueError(
-                f"stochastic mode needs processing_limit < n ({self.processing_limit} >= {n_steps})"
-            )
-        if not self.seeds:
-            raise ValueError("stochastic mode needs at least one seed")
-
 
 def _int_list(text: str) -> list:
     """Integer list syntax: '1..10' (inclusive range) or '1,2,3'."""
@@ -85,7 +71,7 @@ def _int_list(text: str) -> list:
 
 
 def load_dataset(cfg: ExperimentConfig) -> tuple[SampleStore, DatasetMeta]:
-    """Materialize the configured dataset, pre-centering when requested."""
+    """Materialize the configured dataset, check processing_limit < n, pre-center if asked."""
     ds = cfg.dataset
     kind = ds["kind"]
     if kind == "synth":
@@ -99,14 +85,15 @@ def load_dataset(cfg: ExperimentConfig) -> tuple[SampleStore, DatasetMeta]:
             scale=ds["scale"],
             manifest=ds["manifest"],
         )
-    elif kind == "frames":
-        store, meta = load_pgm_sequence(ds["directory"], scale=ds["scale"], manifest=ds["manifest"])
     else:
-        raise ValueError(f"unknown dataset kind {kind!r}")
+        store, meta = load_pgm_sequence(ds["directory"], scale=ds["scale"], manifest=ds["manifest"])
     if kind != "synth":
         print(f"time order resolved for {meta.name} ({meta.steps} steps):")
         for f in meta.source["files"]:
             print(f"  {f}")
+    n, limit = store.count, cfg.processing_limit
+    if limit is not None and limit >= n:  # set in the stochastic mode only
+        raise ValueError(f"stochastic mode needs processing_limit < n ({limit} >= {n})")
     return (center(store) if cfg.centered else store), meta
 
 
@@ -139,16 +126,18 @@ def _write_meta(path: Path, meta: DatasetMeta, cfg: ExperimentConfig, extra: dic
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
-def _publish(out_dir: Path, write) -> list:
-    """Publish one run's artifacts in ``out_dir`` all at once or not at all.
+def _publish(cfg: ExperimentConfig, meta: DatasetMeta, extra: dict, write) -> list:
+    """Publish one run's artifacts and meta.json in ``cfg.output_dir`` all at once or not at all.
 
-    ``write(staging)`` writes them into a scratch directory inside
-    ``out_dir``; each is renamed into place only after it returns, so a
-    failed run leaves ``out_dir`` as it was. Returns the published paths.
+    ``write(staging)`` writes the artifacts into a scratch directory inside the output
+    directory, then meta.json records the run and ``extra``; each file is renamed into
+    place only after both, so a failed run leaves the directory as it was. Returns the paths.
     """
+    out_dir = cfg.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix=".staging-", dir=out_dir) as tmp:
         write(Path(tmp))
+        _write_meta(Path(tmp) / "meta.json", meta, cfg, extra)
         names = sorted(os.listdir(tmp))
         for name in names:
             os.replace(os.path.join(tmp, name), out_dir / name)
@@ -159,7 +148,6 @@ def run_compare(cfg: ExperimentConfig) -> dict:
     """Batch-vs-streaming comparison; writes curves.csv, gap.txt, meta.json."""
     t0 = time.perf_counter()
     store, meta = load_dataset(cfg)
-    cfg.validate(store.count)
     dot_totals: dict[str, int] = {}
 
     def streaming_curve(label: str, seed=None) -> CurveSeries:
@@ -191,25 +179,19 @@ def run_compare(cfg: ExperimentConfig) -> dict:
     def write(staging: Path) -> None:
         _write_curves_csv(staging / "curves.csv", curves)
         (staging / "gap.txt").write_text("\n".join(gap_lines) + "\n")
-        _write_meta(
-            staging / "meta.json",
-            meta,
-            cfg,
-            {
-                "dot_products": dot_totals,
-                "gaps_pp": {k: float(v) for k, v in gaps.items()},
-                "wall_time_s": time.perf_counter() - t0,
-            },
-        )
 
-    return {"curves": curves, "gaps": gaps, "paths": _publish(cfg.output_dir, write)}
+    extra = {
+        "dot_products": dot_totals,
+        "gaps_pp": {k: float(v) for k, v in gaps.items()},
+        "wall_time_s": time.perf_counter() - t0,
+    }
+    return {"curves": curves, "gaps": gaps, "paths": _publish(cfg, meta, extra, write)}
 
 
 def run_eigenfunctions(cfg: ExperimentConfig) -> dict:
     """Score time series for selected components; writes eigenfunctions.csv."""
     t0 = time.perf_counter()
     store, meta = load_dataset(cfg)
-    cfg.validate(store.count)
     if cfg.mode in ("adaptive-full", "adaptive-limited"):
         space = run_adaptive(store, _adaptive_config(cfg, store)).eigenspace()
     else:
@@ -224,20 +206,15 @@ def run_eigenfunctions(cfg: ExperimentConfig) -> dict:
 
     def write(staging: Path) -> None:
         (staging / "eigenfunctions.csv").write_text("\n".join(lines) + "\n")
-        _write_meta(staging / "meta.json", meta, cfg, {"wall_time_s": time.perf_counter() - t0})
 
-    return {"paths": _publish(cfg.output_dir, write), "values": funcs}
+    extra = {"wall_time_s": time.perf_counter() - t0}
+    return {"paths": _publish(cfg, meta, extra, write), "values": funcs}
 
 
 def run_counters(cfg: ExperimentConfig) -> dict:
     """Per-step inner-product counts of one streaming run; writes counters.csv."""
     t0 = time.perf_counter()
     store, meta = load_dataset(cfg)
-    if cfg.mode not in ADAPTIVE_MODES:
-        raise ValueError("counters requires one of the adaptive modes")
-    if len(cfg.seeds) > 1:
-        raise ValueError("counters runs one stream; give one seed")
-    cfg.validate(store.count)
     seed = cfg.seeds[0] if cfg.seeds else None
     state = run_adaptive(store, _adaptive_config(cfg, store, seed))
     lines = ["step,dot_products"]
@@ -246,17 +223,12 @@ def run_counters(cfg: ExperimentConfig) -> dict:
 
     def write(staging: Path) -> None:
         (staging / "counters.csv").write_text("\n".join(lines) + "\n")
-        _write_meta(
-            staging / "meta.json",
-            meta,
-            cfg,
-            {
-                "dot_products": {"total": state.counter.dot_products},
-                "wall_time_s": time.perf_counter() - t0,
-            },
-        )
 
-    return {"paths": _publish(cfg.output_dir, write), "log": state.counter.per_step_log}
+    extra = {
+        "dot_products": {"total": state.counter.dot_products},
+        "wall_time_s": time.perf_counter() - t0,
+    }
+    return {"paths": _publish(cfg, meta, extra, write), "log": state.counter.per_step_log}
 
 
 def run_synth_dump(cfg: ExperimentConfig, dtype: str, byte_order: str) -> dict:
@@ -264,13 +236,10 @@ def run_synth_dump(cfg: ExperimentConfig, dtype: str, byte_order: str) -> dict:
     store, meta = load_dataset(cfg)
 
     def write(staging: Path) -> None:
-        raws = save_raw_volumes(
-            store, staging, element_type=dtype, byte_order=byte_order, scale=True
-        )
+        raws = save_raw_volumes(store, staging, element_type=dtype, byte_order=byte_order)
         (staging / "manifest.txt").write_text("\n".join(p.name for p in raws) + "\n")
-        _write_meta(staging / "meta.json", meta, cfg, {"dtype": dtype})
 
-    paths = _publish(cfg.output_dir, write)
+    paths = _publish(cfg, meta, {"dtype": dtype}, write)
     print(f"wrote {store.count} time-steps to {cfg.output_dir}")
     return {"paths": paths}
 
@@ -333,18 +302,26 @@ def _dataset_from_args(args) -> dict:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    seeds = args.seeds
-    stochastic = args.mode == "adaptive-stochastic"
-    if seeds is None:  # omitted, unlike an empty range, which the stochastic mode rejects
-        # counters runs one stream, seed 0 by default
-        seeds = [0] if stochastic and args.command == "counters" else []
-    elif not stochastic:  # validate cannot tell an explicit empty range from an omitted flag
-        raise ValueError(f"{args.mode} mode takes no processing_limit or seeds")
-    processing_limit = args.processing_limit
-    if stochastic and processing_limit is None:
-        processing_limit = STOCHASTIC_LIMIT
+    """Resolve the CLI flags, checking every rule but the data's, which load_dataset checks."""
+    seeds, processing_limit = args.seeds, args.processing_limit
+    if args.mode != "adaptive-stochastic":
+        if seeds is not None or processing_limit is not None:  # an empty --seeds range too
+            raise ValueError(f"{args.mode} mode takes no processing_limit or seeds")
+        seeds = []
+    else:
+        if seeds is None:  # omitted: counters then draws with seed 0
+            seeds = [0] if args.command == "counters" else []
+        if not seeds:
+            raise ValueError("stochastic mode needs at least one seed")
+        if args.command == "counters" and len(seeds) > 1:
+            raise ValueError("counters runs one stream; give one seed")
+        if processing_limit is None:
+            processing_limit = STOCHASTIC_LIMIT
+    dataset = _dataset_from_args(args)
+    if args.command == "synth-dump" and dataset["kind"] != "synth":
+        raise ValueError("synth-dump requires --synth")
     return ExperimentConfig(
-        dataset=_dataset_from_args(args),
+        dataset=dataset,
         mode=args.mode,
         space_limit=args.space_limit,
         processing_limit=processing_limit,
@@ -416,8 +393,6 @@ def main(argv=None) -> int:
         elif args.command == "counters":
             run_counters(cfg)
         elif args.command == "synth-dump":
-            if not args.synth:
-                raise ValueError("synth-dump requires --synth")
             run_synth_dump(cfg, args.dtype, args.byte_order)
         return 0
     except (StreamPcaError, ValueError, OSError) as err:

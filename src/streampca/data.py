@@ -146,14 +146,12 @@ def save_raw_volumes(
     out_dir,
     element_type: str = "f32",
     byte_order: str = "little",
-    scale: bool = True,
-    prefix: str = "step_",
 ) -> list[Path]:
     """Write one headerless binary file per time-step; inverse of the loader.
 
-    Integer types are rescaled from [0, 1] back to the type range when
-    ``scale`` is on, rounding to nearest. Returns the written paths in
-    time order; names are zero-padded so lexicographic reload preserves it.
+    Integer types are rescaled from [0, 1] back to the type range, rounding
+    to nearest. Returns the written paths in time order; names are
+    zero-padded so lexicographic reload preserves it.
     """
     dt, maxval = _element_dtype(element_type, byte_order)
     out = Path(out_dir)
@@ -163,10 +161,8 @@ def save_raw_volumes(
     for j, sample in enumerate(store):
         values = sample
         if maxval is not None:
-            if scale:
-                values = np.rint(values * maxval)
-            values = np.clip(values, 0, maxval)
-        path = out / f"{prefix}{j:0{width}d}.raw"
+            values = np.clip(np.rint(values * maxval), 0, maxval)
+        path = out / f"step_{j:0{width}d}.raw"
         path.write_bytes(np.ascontiguousarray(values.astype(dt)).tobytes())
         paths.append(path)
     return paths

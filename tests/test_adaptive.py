@@ -610,6 +610,46 @@ def test_overflow_raises_the_typed_error_not_a_warning(call):
             call()
 
 
+def _stream_snapshot(state):
+    return (
+        np.stack(state.components).tobytes(),
+        state.store.matrix().tobytes(),
+        list(state.counter.per_step_log),
+        list(state.degenerate_events),
+        state.rng._state,
+    )
+
+
+@pytest.mark.parametrize(
+    "sample, error",
+    [
+        ([1.0, 2.0, 3.0, 4.0], DimensionMismatchError),
+        ([1.0, math.nan, 3.0], NonFiniteSampleError),
+        # a sample with both faults is refused for its values, not its length
+        ([1.0, math.nan, 3.0, 4.0], NonFiniteSampleError),
+    ],
+    ids=["wrong-length", "nan", "nan-and-wrong-length"],
+)
+@pytest.mark.parametrize("entry", ["initialize", "ingest", "oja"])
+def test_one_sample_check_at_every_entry_point(entry, sample, error):
+    cfg = AdaptiveConfig(space_limit=3, processing_limit=2, seed=4)
+    data = RngState(13).gaussian((3, 6))
+    if entry == "initialize":
+        with pytest.raises(error):
+            initialize(data[:, 0], sample, cfg)
+    elif entry == "oja":
+        with pytest.raises(error):
+            oja([data[:, 0], data[:, 1], sample], 0.1)
+    else:
+        state = initialize(data[:, 0], data[:, 1], cfg)
+        for j in range(2, 6):
+            ingest(state, data[:, j])
+        before = _stream_snapshot(state)
+        with pytest.raises(error):
+            ingest(state, sample)
+        assert _stream_snapshot(state) == before
+
+
 class TestConfigValidation:
     def test_positive_limits_required(self):
         with pytest.raises(ValueError):

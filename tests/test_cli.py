@@ -593,6 +593,30 @@ class TestErrors:
         assert "takes no processing_limit or seeds" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["compare", "--mode", "adaptive-limited", "--processing-limit", "5"], "takes no"),
+            (["compare", "--mode", "adaptive-stochastic", "--seeds", "5..3"], "at least one seed"),
+            (["counters", "--seeds", "1..3"], "runs one stream; give one seed"),
+            (["counters", "--mode", "adaptive-full", "--seeds", "1"], "takes no"),
+            (["synth-dump"], "synth-dump requires --synth"),
+        ],
+        ids=["limited-with-limit", "empty-seeds", "counters-3-seeds", "full-with-seed", "dump"],
+    )
+    def test_flag_errors_come_before_any_data_is_read(
+        self, tmp_path, capsys, monkeypatch, argv, message
+    ):
+        def no_load(cfg):
+            raise AssertionError("the dataset was read")
+
+        monkeypatch.setattr(cli, "load_dataset", no_load)
+        out = tmp_path / "run"
+        dataset = ["--volumes", str(tmp_path / "none" / "*.raw"), "--shape", "4"]
+        assert main(argv + dataset + ["--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_generator_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["compare", "--synth", "fractal", "--out", str(tmp_path / "x")])
@@ -643,7 +667,9 @@ def test_readme_examples_parse():
     assert {c[1] for c in commands} == {"compare", "eigenfunctions", "counters"}
     for argv in commands:
         args = cli.build_parser().parse_args(argv[1:])
-        cli._config_from_args(args).validate(args.n)
+        cfg = cli._config_from_args(args)
+        if cfg.mode == "adaptive-stochastic":  # the one rule that needs the data
+            assert cfg.processing_limit < args.n
 
 
 def test_public_names_resolve():
