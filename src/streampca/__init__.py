@@ -22,10 +22,8 @@ from .core import (
     DegenerateDataError,
     DegenerateVectorError,
     DimensionMismatchError,
-    InsufficientDataError,
     NonFiniteSampleError,
     OpCounter,
-    RankZeroError,
     RngState,
     SampleStore,
     StreamPcaError,
@@ -62,11 +60,9 @@ __all__ = [
     "DimensionMismatchError",
     "EigenSpace",
     "EmptyDatasetError",
-    "InsufficientDataError",
     "MalformedFileError",
     "NonFiniteSampleError",
     "OpCounter",
-    "RankZeroError",
     "RngState",
     "SampleStore",
     "StreamPcaError",

@@ -20,14 +20,12 @@ A single-component Oja baseline is included for comparison.
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .batch import EigenSpace
 from .core import (
-    DEGENERATE_TOL,
     DegenerateVectorError,
     DimensionMismatchError,
     NonFiniteSampleError,
@@ -86,7 +84,7 @@ class AdaptiveState:
 
     def eigenspace(self) -> EigenSpace:
         """Snapshot of the current components as an EigenSpace."""
-        return EigenSpace(dim=self.dim, components=np.stack(self.components, axis=0))
+        return EigenSpace(np.stack(self.components, axis=0))
 
 
 def _finite_sample(x, dim=None) -> np.ndarray:
@@ -194,7 +192,7 @@ def ingest(state: AdaptiveState, x_new) -> AdaptiveState:
     components = list(state.components)
     updated = min(min(n, cfg.space_limit) - 1, len(components))
     try:
-        # an overflow shows up as a non-finite norm below, so numpy need not warn
+        # an overflow shows up as a non-finite norm in normalize, so numpy need not warn
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(updated):
                 v = components[i]
@@ -203,26 +201,24 @@ def ingest(state: AdaptiveState, x_new) -> AdaptiveState:
                 # the raw update only deflates the workspace, not the components updated before it
                 for prev in components[:i]:
                     vnew = vnew - float(vnew @ prev) * prev
-                nrm = math.sqrt(float(vnew @ vnew))
-                if not math.isfinite(nrm):
-                    raise OverflowError(f"component {i + 1} has norm {nrm}")
                 # v~.v >= 1 keeps the norm >= 2 up to the re-projection, which cancels a
                 # component lying in the span of those before it (a kept rounding residual)
-                if nrm <= DEGENERATE_TOL:
-                    raise DegenerateVectorError(f"component {i + 1} degenerated at time-step {n + 1}")
-                vnew = vnew / nrm
-                components[i] = vnew
+                try:
+                    vnew = components[i] = normalize(vnew)
+                except DegenerateVectorError as err:
+                    raise DegenerateVectorError(
+                        f"component {i + 1} degenerated at time-step {n + 1}"
+                    ) from err
                 rows -= np.outer(rows @ vnew, vnew)
-            residual = rows.sum(axis=0)
-            nrm = math.sqrt(float(residual @ residual))
-        if not math.isfinite(nrm):
-            raise OverflowError(f"residual has norm {nrm}")
-    except OverflowError as err:
+            try:
+                residual = normalize(rows.sum(axis=0))
+            except DegenerateVectorError:
+                residual = None
+    except (OverflowError, NonFiniteSampleError) as err:
+        # OverflowError: the weight's Python float square in update_component
         raise NonFiniteSampleError(f"time-step {n + 1} overflows the update: {err}") from err
     position = min(n, cfg.space_limit)
-    degenerate = nrm <= DEGENERATE_TOL
-    if not degenerate:
-        residual = residual / nrm
+    if residual is not None:
         if len(components) < position:
             components.append(residual)
         else:
@@ -231,7 +227,7 @@ def ingest(state: AdaptiveState, x_new) -> AdaptiveState:
     # share, i to reorthogonalize, 1 for the norm, k + 1 to deflate; 1 for the residual
     state.counter.charge(n + 1, updated * (3 * k + 5) + updated * (updated - 1) // 2 + 1)
     state.store.append(x)
-    if degenerate:
+    if residual is None:
         state.degenerate_events.append((n + 1, position))
     state.components = components
     state.rng = rng

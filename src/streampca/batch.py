@@ -14,35 +14,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    ConvergenceError,
-    DimensionMismatchError,
-    InsufficientDataError,
-    RankZeroError,
-    SampleStore,
-)
+from .core import ConvergenceError, DegenerateDataError, DimensionMismatchError, SampleStore
 
 
 @dataclass
 class EigenSpace:
     """Ordered orthonormal basis with optional eigenvalues.
 
-    ``components`` is a (p, dim) array whose rows are unit vectors.
-    ``eigenvalues``, when present, are non-negative and non-increasing.
-    The basis describes whatever samples produced it; centre them with
-    ``center`` first for covariance PCA.
+    ``components`` is a (p, dim) array whose rows are unit vectors; a
+    single vector is one component. ``eigenvalues``, when present, are
+    non-negative and non-increasing. The basis describes whatever samples
+    produced it; centre them with ``center`` first for covariance PCA.
     """
 
-    dim: int
     components: np.ndarray
     eigenvalues: np.ndarray | None = None
 
     def __post_init__(self):
         self.components = np.atleast_2d(np.asarray(self.components, dtype=np.float64))
-        if self.components.shape[1] != self.dim:
-            raise DimensionMismatchError(
-                f"components have {self.components.shape[1]} entries, dim is {self.dim}"
-            )
         norms = np.linalg.norm(self.components, axis=1)
         if self.components.shape[0] and np.max(np.abs(norms - 1.0)) > 1e-8:
             raise ValueError("components must be unit-norm within 1e-8")
@@ -56,6 +45,10 @@ class EigenSpace:
             if self.eigenvalues.size > 1:
                 if np.max(np.diff(self.eigenvalues)) > 1e-10:
                     raise ValueError("eigenvalues must be non-increasing")
+
+    @property
+    def dim(self) -> int:
+        return self.components.shape[1]
 
     def __len__(self) -> int:
         return self.components.shape[0]
@@ -82,7 +75,7 @@ def gram(store: SampleStore) -> np.ndarray:
     mirrored.
     """
     if store.count < 2:
-        raise InsufficientDataError(f"need at least 2 samples, have {store.count}")
+        raise DegenerateDataError(f"need at least 2 samples, have {store.count}")
     x = store.matrix()
     g = x.T @ x
     return np.triu(g) + np.triu(g, 1).T
@@ -117,19 +110,18 @@ def dual_pca(store: SampleStore) -> EigenSpace:
 
     Gram eigenpairs (mu, u) with mu > RANK_TOL * mu_max map to primal
     components X u (normalized) with eigenvalue mu / (n - 1), ordered by
-    descending eigenvalue. Raises RankZeroError when nothing survives the
-    tolerance. No mean is subtracted; pass ``center(store)`` for that.
+    descending eigenvalue. Raises DegenerateDataError for fewer than two
+    samples or samples that carry no variance. No mean is subtracted;
+    pass ``center(store)`` for that.
     """
     g = gram(store)
     mu, u = sym_eig(g)
     if mu[0] <= 0.0:
-        raise RankZeroError("all Gram eigenvalues are at or below zero")
+        raise DegenerateDataError("all Gram eigenvalues are at or below zero")
     keep = mu > RANK_TOL * mu[0]
-    if not np.any(keep):
-        raise RankZeroError("all Gram eigenvalues fall below the rank tolerance")
     mu = mu[keep]
     u = u[:, keep]
     primal = store.matrix() @ u
     primal /= np.linalg.norm(primal, axis=0, keepdims=True)
-    return EigenSpace(dim=store.dim, components=primal.T, eigenvalues=mu / (store.count - 1))
+    return EigenSpace(primal.T, eigenvalues=mu / (store.count - 1))
 

@@ -165,7 +165,7 @@ def run_compare(cfg: ExperimentConfig) -> dict:
         curves.extend(stochastic)
         curves.append(mean_curve(stochastic, label="stochastic_mean"))
     if cfg.mode == "oja":
-        space = EigenSpace(dim=store.dim, components=oja(store, cfg.learning_rate))
+        space = EigenSpace(oja(store, cfg.learning_rate))
         curves.append(explained_variance(space, store, label="oja"))
 
     gaps = {}
@@ -196,8 +196,8 @@ def run_eigenfunctions(cfg: ExperimentConfig) -> dict:
         space = run_adaptive(store, _adaptive_config(cfg, store)).eigenspace()
     else:
         space = dual_pca(store)
-    if not cfg.components or any(c < 1 or c > len(space) for c in cfg.components):
-        raise ValueError(f"components {cfg.components} are empty or out of range 1..{len(space)}")
+    if max(cfg.components) > len(space):
+        raise ValueError(f"components {cfg.components} are out of range 1..{len(space)}")
     funcs = eigenfunctions(space, store)
     lines = ["t," + ",".join(f"f{c}" for c in cfg.components)]
     for t in range(funcs.shape[1]):
@@ -317,6 +317,10 @@ def _config_from_args(args) -> ExperimentConfig:
             raise ValueError("counters runs one stream; give one seed")
         if processing_limit is None:
             processing_limit = STOCHASTIC_LIMIT
+    # AdaptiveConfig holds the limits' lower bound; modes that draw nothing have no processing_limit
+    AdaptiveConfig(args.space_limit, STOCHASTIC_LIMIT if processing_limit is None else processing_limit)
+    if args.command == "eigenfunctions" and (not args.components or min(args.components) < 1):
+        raise ValueError(f"components {args.components} are empty or hold an entry below 1")
     dataset = _dataset_from_args(args)
     if args.command == "synth-dump" and dataset["kind"] != "synth":
         raise ValueError("synth-dump requires --synth")

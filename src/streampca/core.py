@@ -29,16 +29,8 @@ class DegenerateVectorError(StreamPcaError):
     """A vector whose norm is below tolerance where a direction is needed."""
 
 
-class InsufficientDataError(StreamPcaError):
-    """Fewer samples than the operation requires."""
-
-
-class RankZeroError(StreamPcaError):
-    """No spectral mass above the rank tolerance."""
-
-
 class DegenerateDataError(StreamPcaError):
-    """Data carries no variance."""
+    """Too few samples for the operation, or samples that carry no variance."""
 
 
 class ConvergenceError(StreamPcaError):

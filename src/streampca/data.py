@@ -94,6 +94,30 @@ def _time_ordered(pattern, manifest) -> list[Path]:
     return files
 
 
+def _load_files(pattern, manifest, name: str, read, **source) -> tuple[SampleStore, DatasetMeta]:
+    """Read the time-ordered files (see ``_time_ordered``) into one store.
+
+    ``read(path)`` returns a file's (values, shape, element type). The
+    first file sets the dataset's shape and element type, and every later
+    one must have its shape. ``source`` completes the meta's file record.
+    """
+    files = _time_ordered(pattern, manifest)
+    store = shape = element_type = None
+    for f in files:
+        values, frame_shape, frame_type = read(Path(f))
+        if store is None:
+            shape, element_type = frame_shape, frame_type
+            store = SampleStore(values.shape[0])
+        elif frame_shape != shape:
+            raise MalformedFileError(
+                f"{f}: frame is {'x'.join(map(str, frame_shape))}, "
+                f"sequence is {'x'.join(map(str, shape))}"
+            )
+        store.append(values)
+    record = {"kind": "file", "pattern": str(pattern), "files": [str(f) for f in files], **source}
+    return store, DatasetMeta(name, shape, element_type, store.count, record)
+
+
 def load_raw_volumes(
     path_pattern: str,
     shape,
@@ -110,12 +134,10 @@ def load_raw_volumes(
     """
     shape = tuple(int(s) for s in shape)
     dt, maxval = _element_dtype(element_type, byte_order)
-    files = _time_ordered(path_pattern, manifest)
-    dim = int(np.prod(shape))
-    expected_bytes = dim * dt.itemsize
-    store = SampleStore(dim)
-    for f in files:
-        payload = Path(f).read_bytes()
+    expected_bytes = int(np.prod(shape)) * dt.itemsize
+
+    def read(f: Path):
+        payload = f.read_bytes()
         if len(payload) != expected_bytes:
             raise MalformedFileError(
                 f"{f}: {len(payload)} bytes, expected {expected_bytes} "
@@ -124,21 +146,10 @@ def load_raw_volumes(
         values = np.frombuffer(payload, dtype=dt).astype(np.float64)
         if scale and maxval is not None:
             values = values / maxval
-        store.append(values)
-    meta = DatasetMeta(
-        name=Path(path_pattern).stem,
-        shape=shape,
-        element_type=element_type,
-        steps=store.count,
-        source={
-            "kind": "file",
-            "pattern": str(path_pattern),
-            "files": [str(f) for f in files],
-            "byte_order": byte_order,
-            "scaled": bool(scale and maxval is not None),
-        },
-    )
-    return store, meta
+        return values, shape, element_type
+
+    name, scaled = Path(path_pattern).stem, bool(scale and maxval is not None)
+    return _load_files(path_pattern, manifest, name, read, byte_order=byte_order, scaled=scaled)
 
 
 def save_raw_volumes(
@@ -168,8 +179,9 @@ def save_raw_volumes(
     return paths
 
 
-def _read_pgm(path: Path) -> tuple[int, int, int, np.ndarray]:
-    """Parse one binary PGM; returns (width, height, maxval, raw float64 pixels)."""
+def _read_pgm(path: Path, scale: bool) -> tuple[np.ndarray, tuple, str]:
+    """Parse one binary PGM; returns its float64 pixels, scaled to [0, 1] by
+    maxval when ``scale`` is set, its (height, width) and its element type."""
     payload = path.read_bytes()
     if payload[:2] != b"P5":
         raise MalformedFileError(f"{path}: not a binary PGM (magic {payload[:2]!r})")
@@ -205,7 +217,9 @@ def _read_pgm(path: Path) -> tuple[int, int, int, np.ndarray]:
             f"{path}: pixel payload holds {len(pixels)} bytes, expected {expected}"
         )
     values = np.frombuffer(pixels, dtype=dt).astype(np.float64)
-    return width, height, maxval, values
+    if scale:
+        values = values / maxval
+    return values, (height, width), ("u8" if maxval < 256 else "u16")
 
 
 def load_pgm_sequence(
@@ -220,40 +234,20 @@ def load_pgm_sequence(
     integer values).
     """
     directory = Path(directory)
-    files = _time_ordered(directory / "*.pgm", manifest)
-    store = None
-    frame_shape = None
-    element_type = "u8"
-    for f in files:
-        width, height, maxval, values = _read_pgm(Path(f))
-        if scale:
-            values = values / maxval
-        if store is None:
-            frame_shape = (height, width)
-            element_type = "u8" if maxval < 256 else "u16"
-            store = SampleStore(width * height)
-        elif (height, width) != frame_shape:
-            raise MalformedFileError(
-                f"{f}: frame is {height}x{width}, sequence is "
-                f"{frame_shape[0]}x{frame_shape[1]}"
-            )
-        store.append(values)
-    meta = DatasetMeta(
-        name=directory.name,
-        shape=frame_shape,
-        element_type=element_type,
-        steps=store.count,
-        source={
-            "kind": "file",
-            "pattern": str(directory / "*.pgm"),
-            "files": [str(f) for f in files],
-            "scaled": bool(scale),
-        },
+    return _load_files(
+        directory / "*.pgm", manifest, directory.name, lambda f: _read_pgm(f, scale),
+        scaled=bool(scale),
     )
-    return store, meta
 
 
-GENERATORS = ("lowrank", "traveling_wave", "rotating_blob", "cascade")
+# each generator's parameters, with their defaults
+_GENERATOR_PARAMS = {
+    "lowrank": {"rank": 5, "sigma": 0.0},
+    "traveling_wave": {"speed": 1.0},
+    "rotating_blob": {"radius_frac": 0.25, "width_frac": 0.08},
+    "cascade": {"rank": 20, "sigma": 0.01, "decay": 0.85},
+}
+GENERATORS = tuple(_GENERATOR_PARAMS)
 
 
 def synth(
@@ -282,24 +276,29 @@ def synth(
     Random entries are drawn from the seeded in-repo generator in a fixed
     order (spatial patterns first, then temporal coefficients, then
     noise, each row-major), so a (generator, params, seed) triple is
-    bit-reproducible.
+    bit-reproducible. A parameter the generator does not read is a
+    ValueError.
     """
     if generator not in GENERATORS:
         raise ValueError(f"unknown generator {generator!r}; choose from {GENERATORS}")
     if d < 4 or n < 3:
         raise ValueError(f"need d >= 4 and n >= 3, got d={d}, n={n}")
-    params = dict(params or {})
+    defaults = _GENERATOR_PARAMS[generator]
+    for key in params or {}:
+        if key not in defaults:
+            raise ValueError(f"{generator} takes no parameter {key!r}; it reads {sorted(defaults)}")
+    params = {**defaults, **(params or {})}
     rng = RngState(seed)
     shape = (d,)
 
     if generator == "lowrank":
-        rank = int(params.setdefault("rank", 5))
-        sigma = float(params.setdefault("sigma", 0.0))
+        rank = int(params["rank"])
+        sigma = float(params["sigma"])
         a = rng.gaussian((d, rank))
         b = rng.gaussian((rank, n))
         x = _plus_noise(a, b, sigma, rng) if sigma > 0.0 else a @ b
     elif generator == "traveling_wave":
-        speed = float(params.setdefault("speed", 1.0))
+        speed = float(params["speed"])
         i = np.arange(d)[:, None]
         t = np.arange(n)[None, :]
         # 2 pi (i - speed t) / d, in place in one column-major buffer
@@ -311,8 +310,8 @@ def synth(
         side = math.isqrt(d)
         if side * side != d:
             raise ValueError(f"rotating_blob needs a perfect-square d, got {d}")
-        radius = float(params.setdefault("radius_frac", 0.25)) * side
-        width = float(params.setdefault("width_frac", 0.08)) * side
+        radius = float(params["radius_frac"]) * side
+        width = float(params["width_frac"]) * side
         yy, xx = np.mgrid[0:side, 0:side]
         x = np.empty((d, n), order="F")  # one contiguous frame per column, written in place
         for t in range(n):
@@ -323,9 +322,9 @@ def synth(
             x[:, t] = bump.ravel()
         shape = (side, side)
     else:  # cascade
-        rank = int(params.setdefault("rank", 20))
-        sigma = float(params.setdefault("sigma", 0.01))
-        decay = float(params.setdefault("decay", 0.85))
+        rank = int(params["rank"])
+        sigma = float(params["sigma"])
+        decay = float(params["decay"])
         a = rng.gaussian((d, rank))
         t = np.arange(n)
         b = np.empty((rank, n))

@@ -122,13 +122,14 @@ def _snapshot(state):
 
 def _failing_update(fail_at):
     """Patch the streaming step so that its ``fail_at``-th component update
-    (counting from 0) raises DegenerateVectorError."""
+    (counting from 0) returns a zero vector, which the step's normalisation
+    refuses with DegenerateVectorError."""
     calls = itertools.count()
 
-    def update(*args):
+    def update(v, *args):
         if next(calls) == fail_at:
-            raise DegenerateVectorError("injected")
-        return update_component(*args)
+            return np.zeros_like(v)
+        return update_component(v, *args)
 
     return mock.patch("streampca.adaptive.update_component", side_effect=update)
 
@@ -348,7 +349,9 @@ class TestIngest:
             ingest(state, data[:, j])
             ingest(reference, data[:, j])
         before = _snapshot(state)
-        with _failing_update(1), pytest.raises(DegenerateVectorError):
+        with _failing_update(1), pytest.raises(
+            DegenerateVectorError, match="component 2 degenerated at time-step 9"
+        ):
             ingest(state, data[:, 8])
         assert _snapshot(state) == before
         ingest(state, data[:, 8])

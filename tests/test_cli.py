@@ -167,7 +167,7 @@ class TestCompare:
     def test_oja_curve_is_the_library_component(self, tmp_path):
         # the oja column of test_oja_mode's run is explained_variance of oja() on its store
         store, _ = streampca.synth("lowrank", d=30, n=20, params={"rank": 2, "sigma": 0.01})
-        space = streampca.EigenSpace(dim=30, components=streampca.oja(store, 0.05))
+        space = streampca.EigenSpace(streampca.oja(store, 0.05))
         value = repr(float(streampca.explained_variance(space, store).values[0]))
         assert value == "0.52846094437307"  # frozen from the verified run
         argv = ["compare", "--synth", "lowrank", "--d", "30", "--n", "20", "--rank", "2",
@@ -601,8 +601,23 @@ class TestErrors:
             (["counters", "--seeds", "1..3"], "runs one stream; give one seed"),
             (["counters", "--mode", "adaptive-full", "--seeds", "1"], "takes no"),
             (["synth-dump"], "synth-dump requires --synth"),
+            (["compare", "--mode", "adaptive-limited", "--space-limit", "0"], "space_limit must be >= 1"),
+            (["counters", "--space-limit", "-3"], "space_limit must be >= 1"),
+            (["compare", "--mode", "batch", "--space-limit", "0"], "space_limit must be >= 1"),
+            (
+                ["compare", "--mode", "adaptive-stochastic", "--seeds", "1", "--processing-limit", "0"],
+                "processing_limit must be >= 1",
+            ),
+            (["counters", "--processing-limit", "-2"], "processing_limit must be >= 1"),
+            (["eigenfunctions", "--components", "0"], "an entry below 1"),
+            (["eigenfunctions", "--components", "2,-1"], "an entry below 1"),
+            (["eigenfunctions", "--components", ""], "are empty"),
         ],
-        ids=["limited-with-limit", "empty-seeds", "counters-3-seeds", "full-with-seed", "dump"],
+        ids=[
+            "limited-with-limit", "empty-seeds", "counters-3-seeds", "full-with-seed", "dump",
+            "space-0", "counters-space-neg", "batch-space-0", "processing-0",
+            "counters-processing-neg", "components-0", "components-neg", "components-empty",
+        ],
     )
     def test_flag_errors_come_before_any_data_is_read(
         self, tmp_path, capsys, monkeypatch, argv, message
@@ -616,6 +631,13 @@ class TestErrors:
         assert main(argv + dataset + ["--out", str(out)]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_parameter_the_generator_does_not_read(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        argv = ["compare", "--synth", "traveling_wave", "--rank", "5", "--sigma", "0.3"]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert "traveling_wave takes no parameter 'rank'" in capsys.readouterr().err
+        assert not (out / "curves.csv").exists()
 
     def test_unknown_generator_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -675,6 +697,9 @@ def test_readme_examples_parse():
 def test_public_names_resolve():
     for name in streampca.__all__:
         assert getattr(streampca, name) is not None
-    for gone in ("project", "reconstruct", "EigenfunctionMatrix", "OjaState", "oja_update"):
+    for gone in (
+        "project", "reconstruct", "EigenfunctionMatrix", "OjaState", "oja_update",
+        "InsufficientDataError", "RankZeroError",
+    ):
         assert gone not in streampca.__all__
         assert not hasattr(streampca, gone)

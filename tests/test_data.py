@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import streampca.data as data_module
 from streampca import (
     EmptyDatasetError,
     MalformedFileError,
@@ -242,6 +243,18 @@ class TestSynth:
     def test_unknown_generator(self):
         with pytest.raises(ValueError):
             synth("fractal", d=10, n=5)
+
+    @pytest.mark.parametrize(
+        "gen, key",
+        [("lowrank", "speed"), ("traveling_wave", "rank"), ("rotating_blob", "sigma"), ("cascade", "sigam")],
+    )
+    def test_rejects_parameter_it_does_not_read(self, monkeypatch, gen, key):
+        def no_draw(seed):
+            raise AssertionError("the generator drew numbers")
+
+        monkeypatch.setattr(data_module, "RngState", no_draw)
+        with pytest.raises(ValueError, match=f"{gen} takes no parameter '{key}'"):
+            synth(gen, d=36, n=8, params={key: 1.0})
 
     def test_size_preconditions(self):
         with pytest.raises(ValueError):

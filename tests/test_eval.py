@@ -37,7 +37,7 @@ FIXTURE_STOCHASTIC_MEAN = [
 class TestExplainedVariance:
     def test_rank_one_data_full_basis(self):
         store = SampleStore.from_matrix([[1.0, 2.0, -1.0], [0.0, 0.0, 0.0]])
-        space = EigenSpace(dim=2, components=np.eye(2))
+        space = EigenSpace(np.eye(2))
         curve = explained_variance(space, store)
         assert np.allclose(curve.values, [1.0, 1.0], atol=1e-12)
 
@@ -48,7 +48,7 @@ class TestExplainedVariance:
     def test_truncated_space_on_exact_low_rank(self):
         store, _ = synth("lowrank", d=30, n=20, params={"rank": 3, "sigma": 0.0}, seed=5)
         space = dual_pca(store)
-        truncated = EigenSpace(dim=30, components=space.components[:7])
+        truncated = EigenSpace(space.components[:7])
         curve = explained_variance(truncated, store)
         assert abs(curve.values[2] - 1.0) <= 1e-9
 
@@ -75,13 +75,13 @@ class TestExplainedVariance:
 
     def test_zero_variance_data(self):
         store = SampleStore.from_matrix(np.zeros((3, 4)))
-        space = EigenSpace(dim=3, components=[[1.0, 0.0, 0.0]])
+        space = EigenSpace([[1.0, 0.0, 0.0]])
         with pytest.raises(DegenerateDataError):
             explained_variance(space, store)
 
     def test_dim_mismatch(self):
         store = SampleStore.from_matrix(np.zeros((3, 4)))
-        space = EigenSpace(dim=2, components=np.eye(2))
+        space = EigenSpace(np.eye(2))
         with pytest.raises(DimensionMismatchError):
             explained_variance(space, store)
 
@@ -148,7 +148,7 @@ class TestMeanCurve:
 class TestEigenfunctions:
     def test_identity_basis_returns_coordinates(self):
         store = SampleStore.from_matrix([[1.0, 0.0], [0.0, 1.0]])
-        space = EigenSpace(dim=2, components=np.eye(2))
+        space = EigenSpace(np.eye(2))
         funcs = eigenfunctions(space, store)
         assert np.array_equal(funcs, np.eye(2))
 
@@ -178,19 +178,19 @@ class TestEigenfunctions:
 
     def test_dim_mismatch(self):
         store = SampleStore.from_matrix(np.zeros((3, 4)))
-        space = EigenSpace(dim=2, components=np.eye(2))
+        space = EigenSpace(np.eye(2))
         with pytest.raises(DimensionMismatchError):
             eigenfunctions(space, store)
 
 
 class TestSubspaceOverlap:
     def test_identical_spaces(self):
-        space = EigenSpace(dim=3, components=np.eye(3))
+        space = EigenSpace(np.eye(3))
         assert subspace_overlap(space, space, 3) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_one_dim_spaces(self):
-        a = EigenSpace(dim=2, components=[[1.0, 0.0]])
-        b = EigenSpace(dim=2, components=[[0.0, 1.0]])
+        a = EigenSpace([[1.0, 0.0]])
+        b = EigenSpace([[0.0, 1.0]])
         assert subspace_overlap(a, b, 1) == pytest.approx(0.0, abs=1e-12)
 
     def test_fixture_regression(self, fixture_batch_space, fixture_adaptive_state):
@@ -203,12 +203,12 @@ class TestSubspaceOverlap:
     def test_rotation_invariance(self):
         # spanning the same plane with a rotated basis keeps overlap at 1
         c, s = math.cos(0.3), math.sin(0.3)
-        a = EigenSpace(dim=3, components=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        b = EigenSpace(dim=3, components=[[c, s, 0.0], [-s, c, 0.0]])
+        a = EigenSpace([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        b = EigenSpace([[c, s, 0.0], [-s, c, 0.0]])
         assert subspace_overlap(a, b, 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_k_out_of_range(self):
-        a = EigenSpace(dim=2, components=[[1.0, 0.0]])
+        a = EigenSpace([[1.0, 0.0]])
         with pytest.raises(ValueError):
             subspace_overlap(a, a, 2)
 
