@@ -38,6 +38,11 @@ from .core import (
 )
 
 
+# each component's rank-1 deflation is applied over row blocks of at most this size,
+# so its temporary stays this small whatever the workspace's size
+_DEFLATE_BLOCK_BYTES = 256 * 1024
+
+
 @dataclass
 class AdaptiveConfig:
     """The streaming update's two knobs and its sampler seed.
@@ -168,13 +173,15 @@ def ingest(state: AdaptiveState, x_new) -> AdaptiveState:
     re-normalized, and the summed residual of the fully deflated workspace
     becomes the trailing component. The workspace is sample-major, one
     row per sample, so each component's rank-1 deflation runs along
-    contiguous d-long rows; ``update_component`` sees its (d, k)
+    contiguous d-long rows, in place; ``update_component`` sees its (d, k)
     transpose. A residual whose norm is at or below
     ``core.DEGENERATE_TOL`` is dropped and logged in
-    ``state.degenerate_events`` as (time-step, component position); the
-    space regrows on later steps. A finite sample so large that the step
-    overflows raises NonFiniteSampleError. The state changes only once
-    the whole step has succeeded, so any raised error leaves it as it was.
+    ``state.degenerate_events`` as (time-step, component position), and
+    a full space's trailing component, which the step does not update,
+    goes with it; the space regrows on later steps. A finite sample so
+    large that the step overflows raises NonFiniteSampleError. The state
+    changes only once the whole step has succeeded, so any raised error
+    leaves it as it was.
     The step inherits ``update_component``'s s^-6 dependence on the units.
     """
     x = _finite_sample(x_new, state.dim)
@@ -189,8 +196,10 @@ def ingest(state: AdaptiveState, x_new) -> AdaptiveState:
     state.store.matrix(columns=indices, out=rows[:k].T)
     rows[k] = x
     previous, new = rows[:k].T, rows[k]
+    block = max(1, _DEFLATE_BLOCK_BYTES // rows[0].nbytes)
     components = list(state.components)
-    updated = min(min(n, cfg.space_limit) - 1, len(components))
+    position = min(n, cfg.space_limit)  # of the trailing component, counted from 1
+    updated = min(position - 1, len(components))
     try:
         # an overflow shows up as a non-finite norm in normalize, so numpy need not warn
         with np.errstate(over="ignore", invalid="ignore"):
@@ -209,7 +218,9 @@ def ingest(state: AdaptiveState, x_new) -> AdaptiveState:
                     raise DegenerateVectorError(
                         f"component {i + 1} degenerated at time-step {n + 1}"
                     ) from err
-                rows -= np.outer(rows @ vnew, vnew)
+                scores = rows @ vnew
+                for lo in range(0, k + 1, block):
+                    rows[lo : lo + block] -= np.outer(scores[lo : lo + block], vnew)
             try:
                 residual = normalize(rows.sum(axis=0))
             except DegenerateVectorError:
@@ -217,12 +228,11 @@ def ingest(state: AdaptiveState, x_new) -> AdaptiveState:
     except (OverflowError, NonFiniteSampleError) as err:
         # OverflowError: the weight's Python float square in update_component
         raise NonFiniteSampleError(f"time-step {n + 1} overflows the update: {err}") from err
-    position = min(n, cfg.space_limit)
+    # a trailing component this step did not update was orthogonalised only against
+    # the old components, so it goes, and the residual (if any) takes its place
+    del components[updated:]
     if residual is not None:
-        if len(components) < position:
-            components.append(residual)
-        else:
-            components[position - 1] = residual
+        components.append(residual)
     # commit. Per updated component i: 2k + 2 in update_component, 1 for the
     # share, i to reorthogonalize, 1 for the norm, k + 1 to deflate; 1 for the residual
     state.counter.charge(n + 1, updated * (3 * k + 5) + updated * (updated - 1) // 2 + 1)

@@ -49,13 +49,27 @@ def _as_vector(x) -> np.ndarray:
     return v
 
 
+def _unreachable(v: np.ndarray) -> bool:
+    """True when no writeable array can reach the contiguous ``v``'s memory:
+    ``v`` and the array that owns that memory are both read-only."""
+    owner = v
+    while isinstance(owner.base, np.ndarray):
+        owner = owner.base
+    return (
+        v.flags.c_contiguous
+        and not (v.flags.writeable or owner.flags.writeable)
+        and owner.flags.owndata
+    )
+
+
 class SampleStore:
     """Growable ordered collection of equal-length time-step vectors.
 
     Insertion order is time order: index ``j`` holds time-step ``j``.
-    Samples are read-only float64 vectors. ``append`` stores a copy;
+    Samples are read-only, contiguous float64 vectors. ``append`` shares a
+    sample that no writeable array can reach and copies any other;
     ``from_matrix`` adopts an F-contiguous float64 matrix without copying
-    it, so the caller must not write to that matrix afterwards.
+    it and sets that matrix read-only.
     """
 
     def __init__(self, dim: int):
@@ -68,16 +82,16 @@ class SampleStore:
     def from_matrix(cls, x) -> "SampleStore":
         """Build a store from a (dim, count) matrix whose columns are time-steps.
 
-        The samples are read-only views of one column-major float64 buffer:
-        the input itself when it already is one, else a single converted copy.
+        The samples are views of one column-major float64 buffer: the input
+        itself when it already is one, else a single converted copy. That
+        buffer is set read-only, so ``append`` shares its columns.
         """
         m = np.asarray(x, dtype=np.float64, order="F")
         if m.ndim != 2:
             raise DimensionMismatchError(f"expected a 2-D matrix, got shape {m.shape}")
         store = cls(m.shape[0])
-        view = m.view()
-        view.flags.writeable = False
-        store._samples = list(view.T)
+        m.flags.writeable = False
+        store._samples = list(m.T)
         return store
 
     @property
@@ -91,12 +105,21 @@ class SampleStore:
         return iter(self._samples)
 
     def append(self, v) -> None:
+        """Store ``v`` as the next time-step.
+
+        A contiguous float64 vector is stored as is when it and the array
+        that owns its memory are both read-only, and a vector converted
+        from another type or from a list is set read-only in place; any
+        other vector is stored as one read-only copy.
+        """
         vec = _as_vector(v)
         if vec.shape[0] != self.dim:
             raise DimensionMismatchError(
                 f"sample has {vec.shape[0]} elements, store holds {self.dim}-vectors"
             )
-        vec = vec.copy()
+        converted = vec is not v and vec.base is None and isinstance(v, (np.ndarray, list, tuple))
+        if not (converted or _unreachable(vec)):
+            vec = vec.copy()
         vec.flags.writeable = False
         self._samples.append(vec)
 

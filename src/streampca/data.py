@@ -97,9 +97,11 @@ def _time_ordered(pattern, manifest) -> list[Path]:
 def _load_files(pattern, manifest, name: str, read, **source) -> tuple[SampleStore, DatasetMeta]:
     """Read the time-ordered files (see ``_time_ordered``) into one store.
 
-    ``read(path)`` returns a file's (values, shape, element type). The
-    first file sets the dataset's shape and element type, and every later
-    one must have its shape. ``source`` completes the meta's file record.
+    ``read(path)`` returns a file's (values, shape, element type), values
+    being a fresh float64 vector, which is set read-only so the store
+    shares it. The first file sets the dataset's shape and element type,
+    and every later one must have its shape. ``source`` completes the
+    meta's file record.
     """
     files = _time_ordered(pattern, manifest)
     store = shape = element_type = None
@@ -113,6 +115,7 @@ def _load_files(pattern, manifest, name: str, read, **source) -> tuple[SampleSto
                 f"{f}: frame is {'x'.join(map(str, frame_shape))}, "
                 f"sequence is {'x'.join(map(str, shape))}"
             )
+        values.flags.writeable = False
         store.append(values)
     record = {"kind": "file", "pattern": str(pattern), "files": [str(f) for f in files], **source}
     return store, DatasetMeta(name, shape, element_type, store.count, record)

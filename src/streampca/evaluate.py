@@ -56,10 +56,11 @@ def explained_variance(space: EigenSpace, store: SampleStore, label: str = "") -
     if store.count < 2:
         raise DegenerateDataError(f"need at least 2 samples, have {store.count}")
     x = store.matrix()
-    total = float((x**2).sum())
+    scores = space.components @ x
+    # squared in place: the matrix is this call's own copy
+    total = float(np.square(x, out=x).sum())
     if total <= 0.0:
         raise DegenerateDataError("samples carry no variance")
-    scores = space.components @ x
     shares = (scores**2).sum(axis=1) / total
     return CurveSeries(values=np.cumsum(shares), label=label)
 

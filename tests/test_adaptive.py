@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import itertools
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -17,14 +18,17 @@ from streampca import (
     NonFiniteSampleError,
     RngState,
     SampleStore,
+    center,
     dual_pca,
     explained_variance,
     curve_gap,
     ingest,
     initialize,
+    load_raw_volumes,
     normalize,
     oja,
     run_adaptive,
+    save_raw_volumes,
     synth,
     update_component,
 )
@@ -464,6 +468,57 @@ class TestIngest:
     def test_run_adaptive_needs_two_samples(self):
         with pytest.raises(ValueError):
             run_adaptive([np.ones(3)], AdaptiveConfig(space_limit=2, processing_limit=2))
+
+    @pytest.mark.parametrize("space", [5, 10, 20])
+    def test_full_space_drops_a_trailing_component_it_did_not_update(self, space):
+        # a centred deterministic run's last workspace sums to zero, so its residual drops
+        # while the space is full; the trailing component, orthogonalised only against the
+        # old components, goes with it instead of staying beside the updated ones
+        store, _ = synth("lowrank", 300, 60, params={"rank": 10, "sigma": 0.05}, seed=3)
+        samples = center(store)
+        state = initialize(samples[0], samples[1], AdaptiveConfig(space, 60))
+        for j in range(2, 60):
+            ingest(state, samples[j])
+            v = np.stack(state.components)
+            assert np.max(np.abs(v @ v.T - np.eye(len(v)))) <= 1e-8
+        assert state.degenerate_events[-1] == (60, space)
+        assert len(state.components) == space - 1
+
+
+class TestSampleSharing:
+    @pytest.mark.parametrize(
+        "source",
+        [
+            lambda x, _: SampleStore.from_matrix(x),
+            lambda x, _: center(SampleStore.from_matrix(x)),
+            lambda x, tmp_path: load_raw_volumes(str(tmp_path / "step_*.raw"), (30,))[0],
+            lambda x, _: synth("lowrank", 30, 12, params={"rank": 3}, seed=1)[0],
+        ],
+        ids=["from_matrix", "center", "load_raw_volumes", "synth"],
+    )
+    def test_run_adaptive_shares_every_sample(self, source, tmp_path):
+        x = np.asfortranarray(RngState(8).gaussian((30, 12)))
+        save_raw_volumes(SampleStore.from_matrix(x), tmp_path)
+        store = source(x, tmp_path)
+        state = run_adaptive(store, AdaptiveConfig(space_limit=4, processing_limit=12))
+        assert state.n == 12
+        assert all(np.shares_memory(state.store[j], store[j]) for j in range(12))
+
+    def test_step_peak_memory_is_one_workspace(self):
+        # one deterministic step at d=2000 against 60 previous samples: the deflation works
+        # in place over row blocks, so no second workspace-sized array is ever alive
+        k, d = 60, 2000
+        data = RngState(11).gaussian((d, k + 1))
+        state = run_adaptive(
+            SampleStore.from_matrix(data[:, :k]), AdaptiveConfig(space_limit=5, processing_limit=k + 1)
+        )
+        tracemalloc.start()
+        try:
+            ingest(state, data[:, k])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (k + 1) * d * 8 + 2**20
 
 
 class TestComplexityCounters:

@@ -252,6 +252,17 @@ class TestCompare:
             assert got == curve.values.tolist()
             assert got != _column(tmp_path / "raw" / "curves.csv", label)
 
+    def test_centred_limited_run_ends_one_component_short(self, tmp_path):
+        # the run's last residual drops while its space is full, and the trailing component
+        # the step did not update goes with it; kept, it broke the curve's [0, 1] bound
+        out = tmp_path / "run"
+        argv = shlex.split(
+            "compare --synth lowrank --d 300 --n 60 --rank 10 --sigma 0.05 --seed 3"
+            " --mode adaptive-limited --space-limit 10 --centered"
+        )
+        assert main([*argv, "--out", str(out)]) == 0
+        assert len(_column(out / "curves.csv", "adaptive")) == 9
+
 
 class TestEigenfunctions:
     def test_toy_axis_stream_returns_coordinates(self, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streampca import core
 from streampca import (
     DegenerateVectorError,
     DimensionMismatchError,
@@ -16,6 +17,8 @@ from streampca import (
     normalize,
     sample_indices,
 )
+
+as_vector = core._as_vector
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -221,14 +224,61 @@ class TestSampleStore:
         m = np.asfortranarray(RngState(3).gaussian((4, 6)))
         store = SampleStore.from_matrix(m)
         assert all(np.shares_memory(store[j], m) for j in range(6))
+        # adopted, so frozen: the store's samples cannot change under it
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 99.0
 
     def test_copies_any_other_matrix_once(self):
         m = RngState(3).gaussian((4, 6))
         kept = m.copy()
         store = SampleStore.from_matrix(m)
+        assert m.flags.writeable
         m[:] = 99.0
         assert np.array_equal(store.matrix(), kept)
         assert store[0].base is not None and store[0].base is store[5].base
+
+    def test_append_shares_a_sample_no_writeable_array_reaches(self):
+        source = SampleStore.from_matrix(np.asfortranarray(RngState(6).gaussian((3, 4))))
+        owned = np.array([1.0, 2.0, 3.0])
+        owned.flags.writeable = False
+        store = SampleStore(3)
+        for sample in [*source, owned]:
+            store.append(sample)
+        assert all(store[j] is source[j] for j in range(4)) and store[4] is owned
+
+    def test_append_copies_a_read_only_view_of_a_writeable_buffer(self):
+        buf = RngState(6).gaussian((4, 3))  # C-order: each row is one contiguous sample
+        kept = buf.copy()
+        store = SampleStore(3)
+        for j in range(4):
+            view = buf[j]
+            view.flags.writeable = False
+            store.append(view)
+        buf[:] = 99.0
+        assert np.array_equal(store.matrix(), kept.T)
+
+    def test_append_copies_a_strided_read_only_vector(self):
+        m = RngState(6).gaussian((3, 4))
+        m.flags.writeable = False
+        store = SampleStore(3)
+        store.append(m[:, 1])  # a column of a C-order matrix: strided
+        assert store[0].flags.c_contiguous and not np.shares_memory(store[0], m)
+        assert np.array_equal(store[0], m[:, 1])
+
+    @pytest.mark.parametrize("sample", [[1, 2], np.array([1, 2], dtype=np.float32)], ids=["list", "f32"])
+    def test_append_freezes_the_vector_it_converts(self, sample, monkeypatch):
+        converted = []
+
+        def spy(x):
+            converted.append(as_vector(x))
+            return converted[-1]
+
+        monkeypatch.setattr(core, "_as_vector", spy)
+        store = SampleStore(2)
+        store.append(sample)
+        assert store[0] is converted[0]
+        assert not store[0].flags.writeable
 
     @pytest.mark.parametrize("build", ["append", "from_matrix"])
     def test_samples_are_read_only(self, build):

@@ -73,6 +73,14 @@ class TestExplainedVariance:
         assert np.all(shares >= -1e-12)
         assert curve.values[-1] <= 1.0 + 1e-9
 
+    def test_matches_the_two_temporary_formula_bit_for_bit(self, fixture_store, fixture_batch_space):
+        # the total is squared in place in the curve's own copy: same values, same summation order
+        lowrank, _ = synth("lowrank", 300, 60, params={"rank": 10, "sigma": 0.05}, seed=3)
+        for space, store in ((fixture_batch_space, fixture_store), (dual_pca(lowrank), lowrank)):
+            x = store.matrix()
+            shares = ((space.components @ x) ** 2).sum(axis=1) / float((x**2).sum())
+            assert np.array_equal(explained_variance(space, store).values, np.cumsum(shares))
+
     def test_zero_variance_data(self):
         store = SampleStore.from_matrix(np.zeros((3, 4)))
         space = EigenSpace([[1.0, 0.0, 0.0]])
