@@ -33,6 +33,7 @@ from .core import (
     RngState,
     SampleStore,
     _as_vector,
+    _freeze_converted,
     normalize,
     sample_indices,
 )
@@ -93,8 +94,11 @@ class AdaptiveState:
 
 
 def _finite_sample(x, dim=None) -> np.ndarray:
-    """``x`` as a vector, checked to be finite and then, given ``dim``, to be that long."""
-    v = _as_vector(x)
+    """``x`` as a vector, checked to be finite and then, given ``dim``, to be that long.
+
+    A vector converted from ``x`` is set read-only, so a store appending it shares it.
+    """
+    v = _freeze_converted(_as_vector(x), x)
     if not np.all(np.isfinite(v)):
         raise NonFiniteSampleError("sample has NaN or infinite entries")
     if dim is not None and v.shape[0] != dim:
@@ -178,7 +182,8 @@ def ingest(state: AdaptiveState, x_new) -> AdaptiveState:
     ``core.DEGENERATE_TOL`` is dropped and logged in
     ``state.degenerate_events`` as (time-step, component position), and
     a full space's trailing component, which the step does not update,
-    goes with it; the space regrows on later steps. A finite sample so
+    goes with it; the space regrows on later steps. A space of one
+    keeps its lone component instead. A finite sample so
     large that the step overflows raises NonFiniteSampleError. The state
     changes only once the whole step has succeeded, so any raised error
     leaves it as it was.
@@ -229,8 +234,10 @@ def ingest(state: AdaptiveState, x_new) -> AdaptiveState:
         # OverflowError: the weight's Python float square in update_component
         raise NonFiniteSampleError(f"time-step {n + 1} overflows the update: {err}") from err
     # a trailing component this step did not update was orthogonalised only against
-    # the old components, so it goes, and the residual (if any) takes its place
-    del components[updated:]
+    # the old components, so it goes, and the residual (if any) takes its place. A
+    # space of one updates nothing, and its lone component is orthonormal by itself
+    if updated or residual is not None:
+        del components[updated:]
     if residual is not None:
         components.append(residual)
     # commit. Per updated component i: 2k + 2 in update_component, 1 for the

@@ -32,7 +32,8 @@ class EigenSpace:
 
     def __post_init__(self):
         self.components = np.atleast_2d(np.asarray(self.components, dtype=np.float64))
-        norms = np.linalg.norm(self.components, axis=1)
+        # the row norms without np.linalg.norm's squared copy of the components
+        norms = np.sqrt(np.einsum("ij,ij->i", self.components, self.components))
         if self.components.shape[0] and np.max(np.abs(norms - 1.0)) > 1e-8:
             raise ValueError("components must be unit-norm within 1e-8")
         if self.eigenvalues is not None:
@@ -63,7 +64,9 @@ def center(store: SampleStore) -> SampleStore:
     The one place a mean is subtracted: every routine takes its samples
     as given, so pass ``center(store)`` for mean-subtracted PCA.
     """
-    x = store.matrix()
+    # a C-order copy: the row mean sums each row's contiguous values pairwise, and that
+    # rounding feeds every streaming step on the centred store
+    x = np.ascontiguousarray(store.matrix())
     # column-major, so the new store adopts the result without a copy
     return SampleStore.from_matrix(np.subtract(x, x.mean(axis=1, keepdims=True), order="F"))
 
@@ -71,14 +74,13 @@ def center(store: SampleStore) -> SampleStore:
 def gram(store: SampleStore) -> np.ndarray:
     """n x n matrix of pairwise inner products of the samples as stored.
 
-    The result is exactly symmetric: each pair is computed once and
-    mirrored.
+    The result is exactly symmetric: numpy computes a product of a matrix
+    with its own transpose as one triangle (BLAS ``syrk``) and mirrors it.
     """
     if store.count < 2:
         raise DegenerateDataError(f"need at least 2 samples, have {store.count}")
     x = store.matrix()
-    g = x.T @ x
-    return np.triu(g) + np.triu(g, 1).T
+    return x.T @ x
 
 
 def sym_eig(m):
@@ -122,6 +124,7 @@ def dual_pca(store: SampleStore) -> EigenSpace:
     mu = mu[keep]
     u = u[:, keep]
     primal = store.matrix() @ u
-    primal /= np.linalg.norm(primal, axis=0, keepdims=True)
+    # the column norms in np.linalg.norm's summation order, without its squared copy
+    primal /= np.sqrt(np.einsum("ij,ij->j", primal, primal))
     return EigenSpace(primal.T, eigenvalues=mu / (store.count - 1))
 

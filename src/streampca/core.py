@@ -62,6 +62,15 @@ def _unreachable(v: np.ndarray) -> bool:
     )
 
 
+def _freeze_converted(vec: np.ndarray, source) -> np.ndarray:
+    """``vec``, set read-only when ``_as_vector`` made it as a fresh array from
+    ``source`` (an ndarray of another dtype, a list or a tuple), so that no
+    other array can reach its memory; never an object's own memory."""
+    if vec is not source and vec.base is None and isinstance(source, (np.ndarray, list, tuple)):
+        vec.flags.writeable = False
+    return vec
+
+
 class SampleStore:
     """Growable ordered collection of equal-length time-step vectors.
 
@@ -77,14 +86,17 @@ class SampleStore:
             raise ValueError(f"dim must be positive, got {dim}")
         self.dim = int(dim)
         self._samples: list[np.ndarray] = []
+        # the read-only buffer whose columns are the samples, while the store is exactly that
+        self._buffer: np.ndarray | None = None
 
     @classmethod
     def from_matrix(cls, x) -> "SampleStore":
         """Build a store from a (dim, count) matrix whose columns are time-steps.
 
-        The samples are views of one column-major float64 buffer: the input
-        itself when it already is one, else a single converted copy. That
-        buffer is set read-only, so ``append`` shares its columns.
+        The store adopts one column-major float64 buffer: the input itself
+        when it already is one, else a single converted copy. The buffer
+        is set read-only, its columns are the samples, and ``matrix()``
+        returns it as it is until a sample is appended.
         """
         m = np.asarray(x, dtype=np.float64, order="F")
         if m.ndim != 2:
@@ -92,6 +104,7 @@ class SampleStore:
         store = cls(m.shape[0])
         m.flags.writeable = False
         store._samples = list(m.T)
+        store._buffer = m
         return store
 
     @property
@@ -112,20 +125,29 @@ class SampleStore:
         from another type or from a list is set read-only in place; any
         other vector is stored as one read-only copy.
         """
-        vec = _as_vector(v)
+        vec = _freeze_converted(_as_vector(v), v)
         if vec.shape[0] != self.dim:
             raise DimensionMismatchError(
                 f"sample has {vec.shape[0]} elements, store holds {self.dim}-vectors"
             )
-        converted = vec is not v and vec.base is None and isinstance(v, (np.ndarray, list, tuple))
-        if not (converted or _unreachable(vec)):
+        if not _unreachable(vec):
             vec = vec.copy()
-        vec.flags.writeable = False
+            vec.flags.writeable = False
         self._samples.append(vec)
+        self._buffer = None
 
     def matrix(self, columns=None, out=None) -> np.ndarray:
-        """Fresh (dim, count) array of the stored samples, or of ``columns``;
-        written into and returned as ``out`` when that is given."""
+        """(dim, count) matrix of the stored samples, or of ``columns``.
+
+        A store that is exactly the columns of one buffer (``from_matrix``,
+        and so ``synth``, ``center`` and the loaders) returns that
+        read-only, column-major buffer itself: callers read it and must
+        not write to it. Any other store, and any call with ``columns`` or
+        ``out``, restacks the samples into a fresh C-order array, or into
+        ``out`` when that is given and returns it.
+        """
+        if columns is None and out is None and self._buffer is not None:
+            return self._buffer
         if columns is None:
             cols = self._samples
         else:

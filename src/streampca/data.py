@@ -98,25 +98,26 @@ def _load_files(pattern, manifest, name: str, read, **source) -> tuple[SampleSto
     """Read the time-ordered files (see ``_time_ordered``) into one store.
 
     ``read(path)`` returns a file's (values, shape, element type), values
-    being a fresh float64 vector, which is set read-only so the store
-    shares it. The first file sets the dataset's shape and element type,
-    and every later one must have its shape. ``source`` completes the
-    meta's file record.
+    being a float64 vector. Each file's values are written into one column
+    of a column-major float64 matrix, which the store adopts, so the
+    dataset is one read-only buffer. The first file sets the dataset's
+    shape and element type, and every later one must have its shape.
+    ``source`` completes the meta's file record.
     """
     files = _time_ordered(pattern, manifest)
-    store = shape = element_type = None
-    for f in files:
+    x = shape = element_type = None
+    for j, f in enumerate(files):
         values, frame_shape, frame_type = read(Path(f))
-        if store is None:
+        if x is None:
             shape, element_type = frame_shape, frame_type
-            store = SampleStore(values.shape[0])
+            x = np.empty((values.shape[0], len(files)), order="F")
         elif frame_shape != shape:
             raise MalformedFileError(
                 f"{f}: frame is {'x'.join(map(str, frame_shape))}, "
                 f"sequence is {'x'.join(map(str, shape))}"
             )
-        values.flags.writeable = False
-        store.append(values)
+        x[:, j] = values
+    store = SampleStore.from_matrix(x)
     record = {"kind": "file", "pattern": str(pattern), "files": [str(f) for f in files], **source}
     return store, DatasetMeta(name, shape, element_type, store.count, record)
 

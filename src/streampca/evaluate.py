@@ -9,6 +9,7 @@ measured by the same code path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,10 @@ def explained_variance(space: EigenSpace, store: SampleStore, label: str = "") -
     Component i contributes e_i = sum_t <v_i, x_t>^2 / sum_t ||x_t||^2
     over the samples as stored (pass ``center(store)`` to measure
     mean-subtracted variance); the curve is the running sum of the e_i in
-    component order.
+    component order. Each ||x_t||^2 sums the sample's squares pairwise,
+    and ``math.fsum`` adds those n values, so the total does not depend on
+    how the store lays its samples out. The call reads the store in place
+    and allocates the (components, steps) scores and one d-vector.
     """
     if space.dim != store.dim:
         raise DimensionMismatchError(
@@ -55,13 +59,12 @@ def explained_variance(space: EigenSpace, store: SampleStore, label: str = "") -
         )
     if store.count < 2:
         raise DegenerateDataError(f"need at least 2 samples, have {store.count}")
-    x = store.matrix()
-    scores = space.components @ x
-    # squared in place: the matrix is this call's own copy
-    total = float(np.square(x, out=x).sum())
+    squares = np.empty(store.dim)
+    total = math.fsum(float(np.square(x, out=squares).sum()) for x in store)
     if total <= 0.0:
         raise DegenerateDataError("samples carry no variance")
-    shares = (scores**2).sum(axis=1) / total
+    scores = space.components @ store.matrix()
+    shares = np.square(scores, out=scores).sum(axis=1) / total
     return CurveSeries(values=np.cumsum(shares), label=label)
 
 
@@ -92,6 +95,7 @@ def eigenfunctions(space: EigenSpace, store: SampleStore) -> np.ndarray:
 
     Summing v_i * f_i(t) over i reproduces the projection of x_t onto the
     spanned subspace, so these are the temporal coefficients of the basis.
+    The store is read in place; the result is the only array allocated.
     """
     if space.dim != store.dim:
         raise DimensionMismatchError(

@@ -24,6 +24,7 @@ from streampca import (
     curve_gap,
     ingest,
     initialize,
+    load_pgm_sequence,
     load_raw_volumes,
     normalize,
     oja,
@@ -485,6 +486,20 @@ class TestIngest:
         assert len(state.components) == space - 1
 
 
+    @pytest.mark.parametrize("centred", [False, True], ids=["raw", "centred"])
+    def test_space_one_keeps_one_unit_component(self, centred):
+        # a space of one updates no component, so a step whose residual drops keeps the
+        # lone component; the centred stream's last workspace sums to zero and drops
+        store, _ = synth("lowrank", 50, 20, seed=0)
+        samples = center(store) if centred else store
+        state = initialize(samples[0], samples[1], AdaptiveConfig(space_limit=1, processing_limit=20))
+        for j in range(2, 20):
+            ingest(state, samples[j])
+            assert len(state.components) == 1
+            assert abs(float(state.components[0] @ state.components[0]) - 1.0) <= 1e-12
+        assert ((20, 1) in state.degenerate_events) == centred
+
+
 class TestSampleSharing:
     @pytest.mark.parametrize(
         "source",
@@ -503,6 +518,52 @@ class TestSampleSharing:
         state = run_adaptive(store, AdaptiveConfig(space_limit=4, processing_limit=12))
         assert state.n == 12
         assert all(np.shares_memory(state.store[j], store[j]) for j in range(12))
+
+    def test_ingest_stores_a_converted_sample_once(self):
+        # the float64 vector converted from a float32 sample is frozen, so append keeps it
+        data = RngState(9).gaussian((6, 3))
+        state = run_adaptive([data[:, 0], data[:, 1]], AdaptiveConfig(space_limit=2, processing_limit=3))
+        received = []
+        append = SampleStore.append
+
+        def spy(store, v):
+            received.append(v)
+            append(store, v)
+
+        with mock.patch.object(SampleStore, "append", spy):
+            ingest(state, data[:, 2].astype(np.float32))
+        assert received[0].dtype == np.float64 and not received[0].flags.writeable
+        assert state.store[2] is received[0]
+        assert np.shares_memory(state.store[2], received[0])
+
+    def test_ingest_copies_a_writeable_float64_sample(self):
+        data = RngState(9).gaussian((6, 3))
+        state = run_adaptive([data[:, 0], data[:, 1]], AdaptiveConfig(space_limit=2, processing_limit=3))
+        x = data[:, 2].copy()
+        ingest(state, x)
+        assert x.flags.writeable and not np.shares_memory(state.store[2], x)
+        assert np.array_equal(state.store[2], x)
+
+    @pytest.mark.parametrize("loader", ["raw", "pgm"])
+    def test_loaded_and_adopted_stores_stream_alike(self, loader, tmp_path):
+        # the loader's buffer and from_matrix of the same values give the same components
+        pixels = np.arange(7 * 12).reshape(12, 7) * 5 % 251
+        pixels[:, 3] = (pixels[:, 3] * 3) % 256
+        if loader == "raw":
+            for t in range(12):
+                (tmp_path / f"s{t:02d}.raw").write_bytes(pixels[t].astype(np.uint8).tobytes())
+            loaded, _ = load_raw_volumes(str(tmp_path / "*.raw"), (7,), "u8")
+        else:
+            for t in range(12):
+                head = b"P5\n7 1\n255\n"
+                (tmp_path / f"f{t:02d}.pgm").write_bytes(head + pixels[t].astype(np.uint8).tobytes())
+            loaded, _ = load_pgm_sequence(tmp_path)
+        adopted = SampleStore.from_matrix(pixels.T / 255.0)
+        for config in (AdaptiveConfig(4, 12), AdaptiveConfig(3, 5, seed=2)):
+            a, b = run_adaptive(loaded, config), run_adaptive(adopted, config)
+            assert len(a.components) == len(b.components)
+            assert all(np.array_equal(u, v) for u, v in zip(a.components, b.components))
+            assert a.degenerate_events == b.degenerate_events
 
     def test_step_peak_memory_is_one_workspace(self):
         # one deterministic step at d=2000 against 60 previous samples: the deflation works

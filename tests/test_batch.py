@@ -15,7 +15,9 @@ from streampca import (
     dual_pca,
     gram,
     sym_eig,
+    synth,
 )
+from streampca.batch import RANK_TOL
 
 # Eigenvalues of the symmetric 6x6 built from RngState(42), frozen from the
 # roots of its characteristic polynomial (numpy.poly + numpy.roots, an
@@ -77,8 +79,32 @@ def test_center_holds_two_copies():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * d * n * 8
-    x = store.matrix()
+    # the mean of the C-order copy: its rows are summed pairwise, as they were restacked
+    x = np.ascontiguousarray(store.matrix())
     assert np.array_equal(centred.matrix(), x - x.mean(axis=1, keepdims=True))
+
+
+def test_dual_pca_allocates_its_result_and_gram_sized_arrays():
+    # the samples are read in place: beyond the (rank, d) result only n x n arrays
+    d, n = 2000, 100
+    store = SampleStore.from_matrix(np.asfortranarray(RngState(5).gaussian((d, n))))
+    tracemalloc.start()
+    try:
+        space = dual_pca(store)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= space.components.nbytes + 6 * n * n * 8
+
+
+def test_dual_pca_normalises_by_the_linalg_norm():
+    # the column norms are taken without np.linalg.norm's squared copy, to the same bits
+    store, _ = synth("cascade", 300, 40, seed=2)
+    x = store.matrix()
+    mu, u = sym_eig(x.T @ x)
+    primal = x @ u[:, mu > RANK_TOL * mu[0]]
+    primal /= np.linalg.norm(primal, axis=0, keepdims=True)
+    assert np.array_equal(dual_pca(store).components, primal.T)
 
 
 class TestSymEig:

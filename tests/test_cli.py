@@ -263,6 +263,16 @@ class TestCompare:
         assert main([*argv, "--out", str(out)]) == 0
         assert len(_column(out / "curves.csv", "adaptive")) == 9
 
+    def test_centred_space_one_run_keeps_its_component(self, tmp_path):
+        # a centred run's last residual drops, and a space of one has no updated component
+        # to fall back on: the lone component stays instead of leaving the space empty
+        out = tmp_path / "run"
+        argv = shlex.split(
+            "compare --synth lowrank --d 50 --n 20 --mode adaptive-limited --space-limit 1 --centered"
+        )
+        assert main([*argv, "--out", str(out)]) == 0
+        assert len(_column(out / "curves.csv", "adaptive")) == 1
+
 
 class TestEigenfunctions:
     def test_toy_axis_stream_returns_coordinates(self, tmp_path):

@@ -229,6 +229,15 @@ class TestSampleStore:
         with pytest.raises(ValueError):
             m[0, 0] = 99.0
 
+    def test_matrix_is_the_adopted_buffer_until_an_append(self):
+        m = np.asfortranarray(RngState(3).gaussian((4, 6)))
+        store = SampleStore.from_matrix(m)
+        assert store.matrix() is m and not store.matrix().flags.writeable
+        store.append(np.arange(4.0))
+        x = store.matrix()
+        assert x.flags.c_contiguous and x.flags.writeable and not np.shares_memory(x, m)
+        assert np.array_equal(x, np.column_stack([m, np.arange(4.0)]))
+
     def test_copies_any_other_matrix_once(self):
         m = RngState(3).gaussian((4, 6))
         kept = m.copy()

@@ -146,6 +146,28 @@ class TestPgmSequence:
             load_pgm_sequence(tmp_path)
 
 
+class TestOneBuffer:
+    @staticmethod
+    def _assert_one_buffer(store, expected):
+        x = store.matrix()
+        assert x is store.matrix() and x.flags.f_contiguous and not x.flags.writeable
+        assert all(np.shares_memory(store[j], x) for j in range(store.count))
+        assert np.array_equal(x, expected)
+
+    def test_raw_volumes_fill_one_buffer(self, tmp_path):
+        data = RngState(2).gaussian((6, 5)).astype(np.float32).astype(np.float64)
+        save_raw_volumes(SampleStore.from_matrix(data), tmp_path, "f32")
+        store, _ = load_raw_volumes(str(tmp_path / "*.raw"), (6,), "f32")
+        self._assert_one_buffer(store, data)
+
+    def test_pgm_frames_fill_one_buffer(self, tmp_path):
+        frames = np.arange(4 * 6).reshape(4, 6) * 7 % 256
+        for t in range(4):
+            _write_pgm(tmp_path / f"f{t}.pgm", 3, 2, 255, frames[t].tolist())
+        store, _ = load_pgm_sequence(tmp_path)
+        self._assert_one_buffer(store, frames.T / 255.0)
+
+
 class TestSynth:
     def test_lowrank_exact_rank(self):
         store, _ = synth("lowrank", d=50, n=30, params={"rank": 3, "sigma": 0.0}, seed=2)

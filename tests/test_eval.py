@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,6 +93,43 @@ class TestExplainedVariance:
         space = EigenSpace(np.eye(2))
         with pytest.raises(DimensionMismatchError):
             explained_variance(space, store)
+
+
+class TestReadsTheStoreInPlace:
+    # d=2000, n=100, 10 components: a restacked copy of the store would be 1.6 MB
+    D, N, P = 2000, 100, 10
+
+    @pytest.fixture(scope="class")
+    def store_and_space(self):
+        store = SampleStore.from_matrix(np.asfortranarray(RngState(5).gaussian((self.D, self.N))))
+        return store, EigenSpace(dual_pca(store).components[: self.P])
+
+    @staticmethod
+    def _peak(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_explained_variance_allocates_its_scores(self, store_and_space):
+        # the (components, steps) scores and one d-vector of squares for the total
+        store, space = store_and_space
+        _, peak = self._peak(lambda: explained_variance(space, store))
+        assert peak <= self.P * self.N * 8 + self.D * 8 + 8192
+
+    def test_eigenfunctions_allocate_their_result(self, store_and_space):
+        store, space = store_and_space
+        funcs, peak = self._peak(lambda: eigenfunctions(space, store))
+        assert peak <= funcs.nbytes + 8192
+
+    def test_total_is_the_fsum_of_per_sample_squared_norms(self, store_and_space):
+        store, space = store_and_space
+        x = store.matrix()
+        total = math.fsum(float((x[:, t] ** 2).sum()) for t in range(self.N))
+        shares = ((space.components @ x) ** 2).sum(axis=1) / total
+        assert np.array_equal(explained_variance(space, store).values, np.cumsum(shares))
 
 
 class TestCurveGap:
