@@ -70,11 +70,17 @@ class AdaptiveConfig:
 
 @dataclass
 class AdaptiveState:
-    """Everything the streaming update carries between time-steps."""
+    """Everything the streaming update carries between time-steps.
+
+    ``components`` is one read-only (p, dim) float64 array whose rows are
+    the tracked unit components, in the order the update keeps them. Each
+    step commits a fresh array, so a reference taken earlier keeps its
+    values.
+    """
 
     config: AdaptiveConfig
     store: SampleStore
-    components: list = field(default_factory=list)
+    components: np.ndarray
     rng: RngState = None
     counter: OpCounter = field(default_factory=OpCounter)
     degenerate_events: list = field(default_factory=list)
@@ -89,8 +95,8 @@ class AdaptiveState:
         return self.store.count
 
     def eigenspace(self) -> EigenSpace:
-        """Snapshot of the current components as an EigenSpace."""
-        return EigenSpace(np.stack(self.components, axis=0))
+        """The current components as an EigenSpace that shares their read-only array."""
+        return EigenSpace(self.components)
 
 
 def _finite_sample(x, dim=None) -> np.ndarray:
@@ -125,10 +131,12 @@ def initialize(x1, x2, config: AdaptiveConfig) -> AdaptiveState:
     store = SampleStore(a.shape[0])
     store.append(a)
     store.append(b)
+    components = v0[None, :]
+    components.flags.writeable = False
     return AdaptiveState(
         config=config,
         store=store,
-        components=[v0],
+        components=components,
         rng=RngState(config.seed),
     )
 
@@ -175,7 +183,11 @@ def ingest(state: AdaptiveState, x_new) -> AdaptiveState:
     A deflation workspace is built from the (sampled) previous samples
     plus the new sample, every maintained component is updated and
     re-normalized, and the summed residual of the fully deflated workspace
-    becomes the trailing component. The workspace is sample-major, one
+    becomes the trailing component. Each updated component is
+    re-orthogonalised against the ones updated before it by two block
+    classical Gram-Schmidt passes (two matrix-vector products each), and
+    is written into a row of one fresh array that, sliced to the rows
+    kept, becomes ``state.components``. The workspace is sample-major, one
     row per sample, so each component's rank-1 deflation runs along
     contiguous d-long rows, in place; ``update_component`` sees its (d, k)
     transpose. A residual whose norm is at or below
@@ -195,6 +207,12 @@ def ingest(state: AdaptiveState, x_new) -> AdaptiveState:
     rng = copy.copy(state.rng)
     indices = sample_indices(n, cfg.processing_limit, rng)
     k = len(indices)
+    position = min(n, cfg.space_limit)  # of the trailing component, counted from 1
+    updated = min(position - 1, len(state.components))
+    # row i takes updated component i, and the last row the residual (if it is kept).
+    # The basis outlives the step and the workspace does not, so it is allocated first:
+    # the workspace then lies above it on the heap and leaves no hole below a live basis
+    basis = np.empty((updated + 1, state.dim))
     # workspace rows: the sampled previous steps, copied once, then the new step. The
     # loop keeps no second copy, which would raise the peak memory of a run
     rows = np.empty((k + 1, state.dim))
@@ -202,23 +220,22 @@ def ingest(state: AdaptiveState, x_new) -> AdaptiveState:
     rows[k] = x
     previous, new = rows[:k].T, rows[k]
     block = max(1, _DEFLATE_BLOCK_BYTES // rows[0].nbytes)
-    components = list(state.components)
-    position = min(n, cfg.space_limit)  # of the trailing component, counted from 1
-    updated = min(position - 1, len(components))
     try:
         # an overflow shows up as a non-finite norm in normalize, so numpy need not warn
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(updated):
-                v = components[i]
+                v = state.components[i]
                 vt = update_component(v, previous, new)
                 vnew = vt + float(vt @ v) * v
-                # the raw update only deflates the workspace, not the components updated before it
-                for prev in components[:i]:
-                    vnew = vnew - float(vnew @ prev) * prev
+                # the raw update only deflates the workspace, not the components updated
+                # before it: classical Gram-Schmidt against them, twice ("twice is enough")
+                done = basis[:i]
+                for _ in range(2 if i else 0):
+                    vnew -= (done @ vnew) @ done
                 # v~.v >= 1 keeps the norm >= 2 up to the re-projection, which cancels a
                 # component lying in the span of those before it (a kept rounding residual)
                 try:
-                    vnew = components[i] = normalize(vnew)
+                    vnew = basis[i] = normalize(vnew)
                 except DegenerateVectorError as err:
                     raise DegenerateVectorError(
                         f"component {i + 1} degenerated at time-step {n + 1}"
@@ -227,24 +244,24 @@ def ingest(state: AdaptiveState, x_new) -> AdaptiveState:
                 for lo in range(0, k + 1, block):
                     rows[lo : lo + block] -= np.outer(scores[lo : lo + block], vnew)
             try:
-                residual = normalize(rows.sum(axis=0))
+                basis[updated] = normalize(rows.sum(axis=0))
+                kept = updated + 1
             except DegenerateVectorError:
-                residual = None
+                kept = updated
     except (OverflowError, NonFiniteSampleError) as err:
         # OverflowError: the weight's Python float square in update_component
         raise NonFiniteSampleError(f"time-step {n + 1} overflows the update: {err}") from err
     # a trailing component this step did not update was orthogonalised only against
     # the old components, so it goes, and the residual (if any) takes its place. A
     # space of one updates nothing, and its lone component is orthonormal by itself
-    if updated or residual is not None:
-        del components[updated:]
-    if residual is not None:
-        components.append(residual)
-    # commit. Per updated component i: 2k + 2 in update_component, 1 for the
-    # share, i to reorthogonalize, 1 for the norm, k + 1 to deflate; 1 for the residual
+    basis.flags.writeable = False
+    components = basis[:kept] if kept else state.components
+    # commit. Per updated component i: 2k + 2 in update_component, 1 for the share, i to
+    # reorthogonalize (the paper's one Gram-Schmidt pass; the two block passes above do
+    # 2i), 1 for the norm, k + 1 to deflate; 1 for the residual
     state.counter.charge(n + 1, updated * (3 * k + 5) + updated * (updated - 1) // 2 + 1)
     state.store.append(x)
-    if residual is None:
+    if kept == updated:
         state.degenerate_events.append((n + 1, position))
     state.components = components
     state.rng = rng

@@ -101,7 +101,9 @@ def sym_eig(m):
     if float(np.max(np.abs(a - a.T))) > 1e-9 * max(1.0, scale):
         raise ValueError("matrix is not symmetric within 1e-9")
     try:
-        w, q = np.linalg.eigh((a + a.T) / 2.0)
+        # eigh reads the lower triangle alone, which the check above keeps within 1e-9 of
+        # the symmetric part; gram's matrix is exactly symmetric, so no symmetrising copy
+        w, q = np.linalg.eigh(a)
     except np.linalg.LinAlgError as err:
         raise ConvergenceError(f"eigh did not converge: {err}") from err
     return w[::-1], q[:, ::-1]

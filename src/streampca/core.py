@@ -294,16 +294,20 @@ def sample_indices(n: int, k: int, rng: RngState) -> np.ndarray:
 
     Returned ascending so downstream arithmetic is order-deterministic.
     When k >= n the full index set comes back and the generator is not
-    advanced (the deterministic branch of the streaming update).
+    advanced (the deterministic branch of the streaming update). Otherwise
+    a partial Fisher-Yates shuffle of range(n) draws ``rng.below(n - i)``
+    for i = 0..k-1; only the entries it displaces are held, so a call
+    costs O(k) time and memory whatever n is.
     """
     if n < 1 or k < 1:
         raise ValueError(f"n and k must be positive, got n={n}, k={k}")
     if k >= n:
         return np.arange(n)
-    pool = np.arange(n)
+    displaced = {}  # position -> the entry swapped into it; every other position holds itself
+    picked = np.empty(k, dtype=int)
     for i in range(k):
         j = i + rng.below(n - i)
-        pool[i], pool[j] = pool[j], pool[i]
-    picked = pool[:k]
+        picked[i] = displaced.get(j, j)
+        displaced[j] = displaced.get(i, i)
     picked.sort()
     return picked

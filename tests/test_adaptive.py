@@ -231,6 +231,38 @@ class TestIngest:
         for got, want in zip(state.components, basis):
             assert np.max(np.abs(got - np.array(want))) <= 1e-9
 
+    def test_full_dimensional_stream_matches_scalar_transcription(self):
+        # every step updates every component; the late steps re-orthogonalise 22 of them
+        data = RngState(3).gaussian((30, 24))
+        samples = [data[:, j] for j in range(24)]
+        cfg = AdaptiveConfig(space_limit=24, processing_limit=24)
+        state = initialize(samples[0], samples[1], cfg)
+        for x in samples[2:]:
+            ingest(state, x)
+            v = state.components
+            assert np.max(np.abs(v @ v.T - np.eye(len(v)))) <= 1e-12
+        assert state.counter.per_step_log[-1] == (24, 22 * (3 * 23 + 5) + 22 * 21 // 2 + 1)
+        basis, events = oracle_stream(samples, 24, 24)
+        assert state.degenerate_events == events == []
+        assert np.max(np.abs(state.components - np.array(basis))) <= 1e-9
+
+    def test_components_are_one_read_only_array(self):
+        data = RngState(9).gaussian((12, 8))
+        state = run_adaptive([data[:, j] for j in range(8)], AdaptiveConfig(6, 8))
+        v = state.components
+        assert isinstance(v, np.ndarray) and v.shape == (6, 12) and v.dtype == np.float64
+        space = state.eigenspace()
+        assert np.shares_memory(space.components, v)
+        with pytest.raises(ValueError):
+            space.components[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            v[1] = 0.0
+        # a step commits a fresh array, so a reference taken before it keeps its values
+        kept = v.copy()
+        ingest(state, RngState(10).gaussian(12))
+        assert not np.shares_memory(state.components, v)
+        assert np.array_equal(v, kept)
+
     def test_fixture_degenerate_events(self, fixture_adaptive_state):
         # residuals vanish once the 5 dimensions are saturated
         assert fixture_adaptive_state.degenerate_events == FIXTURE_DEGENERATE_EVENTS

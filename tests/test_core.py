@@ -99,6 +99,45 @@ class TestSampleIndices:
         assert picked.min() >= 0 and picked.max() < n
 
 
+def _pool_sample_indices(n, k, rng):
+    """Reference: the partial Fisher-Yates shuffle over a materialised range(n)."""
+    if k >= n:
+        return np.arange(n)
+    pool = np.arange(n)
+    for i in range(k):
+        j = i + rng.below(n - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    picked = pool[:k]
+    picked.sort()
+    return picked
+
+
+class TestSparseSampleIndices:
+    def test_matches_the_materialised_shuffle(self):
+        cases = RngState(2027)
+        for _ in range(1200):
+            seed = cases.next_u64()
+            n = 1 + cases.below(10 ** (1 + cases.below(5)))
+            k = 1 + cases.below(min(n + 2, 80))
+            got_rng, want_rng = RngState(seed), RngState(seed)
+            got = sample_indices(n, k, got_rng)
+            want = _pool_sample_indices(n, k, want_rng)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (seed, n, k)
+            assert got_rng._state == want_rng._state
+
+    def test_memory_does_not_grow_with_n(self):
+        # the materialised pool at n = 10^7 would be 80 MB
+        tracemalloc.start()
+        try:
+            picked = sample_indices(10**7, 40, RngState(4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(set(picked.tolist())) == 40
+        assert peak <= 64 * 1024
+
+
 class TestRngState:
     def test_identical_seeds_identical_streams(self):
         a = RngState(123)
