@@ -27,13 +27,12 @@ import numpy as np
 from .batch import EigenSpace
 from .core import (
     DegenerateVectorError,
-    DimensionMismatchError,
     NonFiniteSampleError,
     OpCounter,
     RngState,
     SampleStore,
     _as_vector,
-    _freeze_converted,
+    as_sample,
     normalize,
     sample_indices,
 )
@@ -99,28 +98,15 @@ class AdaptiveState:
         return EigenSpace(self.components)
 
 
-def _finite_sample(x, dim=None) -> np.ndarray:
-    """``x`` as a vector, checked to be finite and then, given ``dim``, to be that long.
-
-    A vector converted from ``x`` is set read-only, so a store appending it shares it.
-    """
-    v = _freeze_converted(_as_vector(x), x)
-    if not np.all(np.isfinite(v)):
-        raise NonFiniteSampleError("sample has NaN or infinite entries")
-    if dim is not None and v.shape[0] != dim:
-        raise DimensionMismatchError(f"sample has {v.shape[0]} elements, expected {dim}")
-    return v
-
-
 def initialize(x1, x2, config: AdaptiveConfig) -> AdaptiveState:
     """Start a stream from its first two time-steps.
 
-    The single initial component is (x2 - x1) / ||x2 - x1||. Identical
-    first samples are an error (supply the next distinct time-step as
-    x2), and so are non-finite samples (NonFiniteSampleError).
+    The single initial component is (x2 - x1) / ||x2 - x1||. Both samples
+    must pass ``core.as_sample``, x2 at x1's length. Identical first
+    samples are an error (supply the next distinct time-step as x2).
     """
-    a = _finite_sample(x1)
-    b = _finite_sample(x2, a.shape[0])
+    a = as_sample(x1)
+    b = as_sample(x2, a.shape[0])
     try:
         with np.errstate(over="ignore"):
             v0 = normalize(b - a)
@@ -180,10 +166,13 @@ def update_component(v, previous, new):
 def ingest(state: AdaptiveState, x_new) -> AdaptiveState:
     """Advance the stream by one time-step, updating the state in place.
 
-    A deflation workspace is built from the (sampled) previous samples
-    plus the new sample, every maintained component is updated and
-    re-normalized, and the summed residual of the fully deflated workspace
-    becomes the trailing component. Each updated component is
+    ``x_new`` must pass ``core.as_sample`` at the state's length, and the
+    store keeps the vector that check returns, so a sample converted from
+    another dtype is converted and stored once. A deflation workspace is
+    built from the (sampled) previous samples plus the new sample, every
+    maintained component is updated and re-normalized, and the summed
+    residual of the fully deflated workspace becomes the trailing
+    component. Each updated component is
     re-orthogonalised against the ones updated before it by two block
     classical Gram-Schmidt passes (two matrix-vector products each), and
     is written into a row of one fresh array that, sliced to the rows
@@ -201,7 +190,7 @@ def ingest(state: AdaptiveState, x_new) -> AdaptiveState:
     leaves it as it was.
     The step inherits ``update_component``'s s^-6 dependence on the units.
     """
-    x = _finite_sample(x_new, state.dim)
+    x = as_sample(x_new, state.dim)
     cfg = state.config
     n = state.n
     rng = copy.copy(state.rng)
@@ -290,8 +279,9 @@ def oja(samples, learning_rate: float) -> np.ndarray:
     """Single-component Oja baseline: the unit component after the stream.
 
     Starts from the normalized first sample and applies
-    v <- normalize(v + learning_rate * <x, v> x) for every later one. NaN,
-    Inf or an overflowing step raise NonFiniteSampleError.
+    v <- normalize(v + learning_rate * <x, v> x) for every later one. Every
+    sample must pass ``core.as_sample``, at the first one's length; an
+    overflowing step raises NonFiniteSampleError.
     """
     if learning_rate <= 0:
         raise ValueError(f"learning rate must be positive, got {learning_rate}")
@@ -299,9 +289,9 @@ def oja(samples, learning_rate: float) -> np.ndarray:
     first = next(iterator, None)
     if first is None:
         raise ValueError("the Oja baseline needs at least one sample")
-    v = normalize(first)
+    v = normalize(as_sample(first))
     for x_new in iterator:
-        x = _finite_sample(x_new, v.shape[0])
+        x = as_sample(x_new, v.shape[0])
         with np.errstate(over="ignore", invalid="ignore"):
             v = normalize(v + learning_rate * float(x @ v) * x)
     return v

@@ -10,6 +10,7 @@ streaming estimate is measured against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,10 +96,15 @@ def sym_eig(m):
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise DimensionMismatchError(f"expected a non-empty square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    # one n x n buffer serves both maxima and is freed before eigh allocates its own
+    t = np.abs(a)
+    scale = float(t.max())  # NaN when any entry is
+    if not math.isfinite(scale):
         raise ValueError("matrix has non-finite entries")
-    scale = float(np.max(np.abs(a)))
-    if float(np.max(np.abs(a - a.T))) > 1e-9 * max(1.0, scale):
+    np.abs(np.subtract(a, a.T, out=t), out=t)
+    asymmetry = float(t.max())
+    del t
+    if asymmetry > 1e-9 * max(1.0, scale):
         raise ValueError("matrix is not symmetric within 1e-9")
     try:
         # eigh reads the lower triangle alone, which the check above keeps within 1e-9 of

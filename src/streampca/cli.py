@@ -21,7 +21,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -43,23 +43,11 @@ MODES = ("batch", *ADAPTIVE_MODES, "oja")
 STOCHASTIC_LIMIT = 40  # processing_limit of stochastic runs when none is given
 
 
-@dataclass
-class ExperimentConfig:
-    """Everything one experiment run needs, resolved once from the CLI flags.
-
-    ``processing_limit`` and ``seeds`` belong to the stochastic mode; the
-    other modes correlate every previous sample and leave them None and [].
-    """
-
-    dataset: dict
-    mode: str
-    space_limit: int
-    processing_limit: int | None
-    seeds: list
-    centered: bool
-    learning_rate: float
-    components: list
-    output_dir: Path
+# the settings meta.json records, as resolved by _config_from_args
+RECORDED = (
+    "dataset", "mode", "space_limit", "processing_limit", "seeds", "centered", "learning_rate",
+    "components",
+)
 
 
 def _int_list(text: str) -> list:
@@ -70,7 +58,7 @@ def _int_list(text: str) -> list:
     return [int(s) for s in text.split(",") if s.strip()]
 
 
-def load_dataset(cfg: ExperimentConfig) -> tuple[SampleStore, DatasetMeta]:
+def load_dataset(cfg: argparse.Namespace) -> tuple[SampleStore, DatasetMeta]:
     """Materialize the configured dataset, check processing_limit < n, pre-center if asked."""
     ds = cfg.dataset
     kind = ds["kind"]
@@ -97,7 +85,7 @@ def load_dataset(cfg: ExperimentConfig) -> tuple[SampleStore, DatasetMeta]:
     return (center(store) if cfg.centered else store), meta
 
 
-def _adaptive_config(cfg: ExperimentConfig, store: SampleStore, seed=None) -> AdaptiveConfig:
+def _adaptive_config(cfg: argparse.Namespace, store: SampleStore, seed=None) -> AdaptiveConfig:
     n = store.count
     space = min(store.dim, n) if cfg.mode == "adaptive-full" else cfg.space_limit
     if seed is None:  # the deterministic run correlates every previous sample
@@ -120,18 +108,20 @@ def _write_curves_csv(path: Path, curves: list) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_meta(path: Path, meta: DatasetMeta, cfg: ExperimentConfig, extra: dict) -> None:
-    record = {"version": __version__, "dataset": asdict(meta), "config": asdict(cfg), **extra}
-    del record["config"]["output_dir"]
+def _write_meta(path: Path, meta: DatasetMeta, cfg: argparse.Namespace, extra: dict) -> None:
+    config = {name: getattr(cfg, name) for name in RECORDED}
+    record = {"version": __version__, "dataset": asdict(meta), "config": config, **extra}
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
-def _publish(cfg: ExperimentConfig, meta: DatasetMeta, extra: dict, write) -> list:
-    """Publish one run's artifacts and meta.json in ``cfg.output_dir`` all at once or not at all.
+def _publish(cfg: argparse.Namespace, meta: DatasetMeta, extra: dict, write) -> list:
+    """Publish one run's artifacts and meta.json in ``cfg.output_dir``; returns their paths.
 
     ``write(staging)`` writes the artifacts into a scratch directory inside the output
-    directory, then meta.json records the run and ``extra``; each file is renamed into
-    place only after both, so a failed run leaves the directory as it was. Returns the paths.
+    directory, then meta.json records the run and ``extra``; the files are renamed into
+    place one at a time only after both, so a run that fails leaves the directory as it
+    was. A run killed during the renames leaves some new files beside older ones from an
+    earlier run, and a killed run can leave its ``.staging-*`` directory behind.
     """
     out_dir = cfg.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -144,7 +134,7 @@ def _publish(cfg: ExperimentConfig, meta: DatasetMeta, extra: dict, write) -> li
     return [out_dir / name for name in names]
 
 
-def run_compare(cfg: ExperimentConfig) -> dict:
+def run_compare(cfg: argparse.Namespace) -> dict:
     """Batch-vs-streaming comparison; writes curves.csv, gap.txt, meta.json."""
     t0 = time.perf_counter()
     store, meta = load_dataset(cfg)
@@ -188,7 +178,7 @@ def run_compare(cfg: ExperimentConfig) -> dict:
     return {"curves": curves, "gaps": gaps, "paths": _publish(cfg, meta, extra, write)}
 
 
-def run_eigenfunctions(cfg: ExperimentConfig) -> dict:
+def run_eigenfunctions(cfg: argparse.Namespace) -> dict:
     """Score time series for selected components; writes eigenfunctions.csv."""
     t0 = time.perf_counter()
     store, meta = load_dataset(cfg)
@@ -211,7 +201,7 @@ def run_eigenfunctions(cfg: ExperimentConfig) -> dict:
     return {"paths": _publish(cfg, meta, extra, write), "values": funcs}
 
 
-def run_counters(cfg: ExperimentConfig) -> dict:
+def run_counters(cfg: argparse.Namespace) -> dict:
     """Per-step inner-product counts of one streaming run; writes counters.csv."""
     t0 = time.perf_counter()
     store, meta = load_dataset(cfg)
@@ -231,7 +221,7 @@ def run_counters(cfg: ExperimentConfig) -> dict:
     return {"paths": _publish(cfg, meta, extra, write), "log": state.counter.per_step_log}
 
 
-def run_synth_dump(cfg: ExperimentConfig, dtype: str, byte_order: str) -> dict:
+def run_synth_dump(cfg: argparse.Namespace, dtype: str, byte_order: str) -> dict:
     """Write a synthetic dataset as raw volume files plus a manifest."""
     store, meta = load_dataset(cfg)
 
@@ -301,40 +291,37 @@ def _dataset_from_args(args) -> dict:
     }
 
 
-def _config_from_args(args) -> ExperimentConfig:
-    """Resolve the CLI flags, checking every rule but the data's, which load_dataset checks."""
-    seeds, processing_limit = args.seeds, args.processing_limit
+def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """Resolve the CLI flags, checking every rule but the data's, which load_dataset checks.
+
+    Sets the resolved ``dataset``, ``seeds``, ``processing_limit`` and
+    ``output_dir`` on the parsed namespace and returns it: ``processing_limit``
+    and ``seeds`` belong to the stochastic mode, and the other modes, which
+    correlate every previous sample, get None and [].
+    """
     if args.mode != "adaptive-stochastic":
-        if seeds is not None or processing_limit is not None:  # an empty --seeds range too
+        if args.seeds is not None or args.processing_limit is not None:  # an empty --seeds too
             raise ValueError(f"{args.mode} mode takes no processing_limit or seeds")
-        seeds = []
+        args.seeds = []
     else:
-        if seeds is None:  # omitted: counters then draws with seed 0
-            seeds = [0] if args.command == "counters" else []
-        if not seeds:
+        if args.seeds is None:  # omitted: counters then draws with seed 0
+            args.seeds = [0] if args.command == "counters" else []
+        if not args.seeds:
             raise ValueError("stochastic mode needs at least one seed")
-        if args.command == "counters" and len(seeds) > 1:
+        if args.command == "counters" and len(args.seeds) > 1:
             raise ValueError("counters runs one stream; give one seed")
-        if processing_limit is None:
-            processing_limit = STOCHASTIC_LIMIT
+        if args.processing_limit is None:
+            args.processing_limit = STOCHASTIC_LIMIT
     # AdaptiveConfig holds the limits' lower bound; modes that draw nothing have no processing_limit
-    AdaptiveConfig(args.space_limit, STOCHASTIC_LIMIT if processing_limit is None else processing_limit)
+    limit = args.processing_limit
+    AdaptiveConfig(args.space_limit, STOCHASTIC_LIMIT if limit is None else limit)
     if args.command == "eigenfunctions" and (not args.components or min(args.components) < 1):
         raise ValueError(f"components {args.components} are empty or hold an entry below 1")
-    dataset = _dataset_from_args(args)
-    if args.command == "synth-dump" and dataset["kind"] != "synth":
+    args.dataset = _dataset_from_args(args)
+    if args.command == "synth-dump" and args.dataset["kind"] != "synth":
         raise ValueError("synth-dump requires --synth")
-    return ExperimentConfig(
-        dataset=dataset,
-        mode=args.mode,
-        space_limit=args.space_limit,
-        processing_limit=processing_limit,
-        seeds=seeds,
-        centered=args.centered,
-        learning_rate=args.learning_rate,
-        components=args.components,
-        output_dir=Path(args.out),
-    )
+    args.output_dir = Path(args.out)
+    return args
 
 
 def build_parser() -> argparse.ArgumentParser:

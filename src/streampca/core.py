@@ -62,23 +62,35 @@ def _unreachable(v: np.ndarray) -> bool:
     )
 
 
-def _freeze_converted(vec: np.ndarray, source) -> np.ndarray:
-    """``vec``, set read-only when ``_as_vector`` made it as a fresh array from
-    ``source`` (an ndarray of another dtype, a list or a tuple), so that no
-    other array can reach its memory; never an object's own memory."""
-    if vec is not source and vec.base is None and isinstance(source, (np.ndarray, list, tuple)):
-        vec.flags.writeable = False
-    return vec
+def as_sample(x, dim=None) -> np.ndarray:
+    """``x`` as one time-step's sample: a finite float64 1-D vector, ``dim`` long when
+    ``dim`` is given. The one place the package decides what a sample is.
+
+    A non-finite sample raises NonFiniteSampleError, whatever its length, and a
+    finite one of another length DimensionMismatchError. A vector this call made
+    as a fresh array from ``x`` (an ndarray of another dtype, a list or a tuple)
+    is set read-only, so that no other array reaches it and a store can share it;
+    an object's own memory never is.
+    """
+    v = _as_vector(x)
+    if not np.all(np.isfinite(v)):
+        raise NonFiniteSampleError("sample has NaN or infinite entries")
+    if dim is not None and v.shape[0] != dim:
+        raise DimensionMismatchError(f"sample has {v.shape[0]} elements, expected {dim}")
+    if v is not x and v.base is None and isinstance(x, (np.ndarray, list, tuple)):
+        v.flags.writeable = False
+    return v
 
 
 class SampleStore:
     """Growable ordered collection of equal-length time-step vectors.
 
     Insertion order is time order: index ``j`` holds time-step ``j``.
-    Samples are read-only, contiguous float64 vectors. ``append`` shares a
-    sample that no writeable array can reach and copies any other;
-    ``from_matrix`` adopts an F-contiguous float64 matrix without copying
-    it and sets that matrix read-only.
+    Every sample passes ``as_sample``'s rule (finite, ``dim`` long) and is
+    a read-only, contiguous float64 vector. ``append`` shares a sample that
+    no writeable array can reach and copies any other; ``from_matrix``
+    adopts an F-contiguous float64 matrix without copying it and sets that
+    matrix read-only.
     """
 
     def __init__(self, dim: int):
@@ -96,11 +108,17 @@ class SampleStore:
         The store adopts one column-major float64 buffer: the input itself
         when it already is one, else a single converted copy. The buffer
         is set read-only, its columns are the samples, and ``matrix()``
-        returns it as it is until a sample is appended.
+        returns it as it is until a sample is appended. A matrix with a NaN
+        or infinite entry raises NonFiniteSampleError naming the first such
+        time-step (counted from 1) and is left as it was.
         """
         m = np.asarray(x, dtype=np.float64, order="F")
         if m.ndim != 2:
             raise DimensionMismatchError(f"expected a 2-D matrix, got shape {m.shape}")
+        # the extremes carry any NaN or infinity, with no temporary as large as the matrix
+        if m.size and not (math.isfinite(m.min()) and math.isfinite(m.max())):
+            j = next(j for j, col in enumerate(m.T) if not np.all(np.isfinite(col)))
+            raise NonFiniteSampleError(f"time-step {j + 1} has NaN or infinite entries")
         store = cls(m.shape[0])
         m.flags.writeable = False
         store._samples = list(m.T)
@@ -118,18 +136,13 @@ class SampleStore:
         return iter(self._samples)
 
     def append(self, v) -> None:
-        """Store ``v`` as the next time-step.
+        """Store ``v`` as the next time-step, once ``as_sample`` accepts it.
 
-        A contiguous float64 vector is stored as is when it and the array
-        that owns its memory are both read-only, and a vector converted
-        from another type or from a list is set read-only in place; any
-        other vector is stored as one read-only copy.
+        The checked vector is stored as is when it and the array that owns
+        its memory are both read-only (as is one ``as_sample`` converted);
+        any other vector is stored as one read-only copy.
         """
-        vec = _freeze_converted(_as_vector(v), v)
-        if vec.shape[0] != self.dim:
-            raise DimensionMismatchError(
-                f"sample has {vec.shape[0]} elements, store holds {self.dim}-vectors"
-            )
+        vec = as_sample(v, self.dim)
         if not _unreachable(vec):
             vec = vec.copy()
             vec.flags.writeable = False

@@ -33,7 +33,8 @@ class CurveSeries:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 1 or self.values.size == 0:
             raise ValueError("a curve needs a 1-D, non-empty value list")
-        if np.min(self.values) < -1e-12 or np.max(self.values) > 1.0 + 1e-9:
+        # written so that a NaN, which fails every comparison, fails the range check too
+        if not (np.min(self.values) >= -1e-12 and np.max(self.values) <= 1.0 + 1e-9):
             raise ValueError("curve values must lie in [0, 1]")
         if self.values.size > 1 and np.min(np.diff(self.values)) < -1e-12:
             raise ValueError("curve values must be non-decreasing")
@@ -51,19 +52,16 @@ def explained_variance(space: EigenSpace, store: SampleStore, label: str = "") -
     component order. Each ||x_t||^2 sums the sample's squares pairwise,
     and ``math.fsum`` adds those n values, so the total does not depend on
     how the store lays its samples out. The call reads the store in place
-    and allocates the (components, steps) scores and one d-vector.
+    and allocates the (components, steps) scores, which are
+    ``eigenfunctions(space, store)``, and one d-vector.
     """
-    if space.dim != store.dim:
-        raise DimensionMismatchError(
-            f"space dim {space.dim} does not match store dim {store.dim}"
-        )
+    scores = eigenfunctions(space, store)
     if store.count < 2:
         raise DegenerateDataError(f"need at least 2 samples, have {store.count}")
     squares = np.empty(store.dim)
     total = math.fsum(float(np.square(x, out=squares).sum()) for x in store)
     if total <= 0.0:
         raise DegenerateDataError("samples carry no variance")
-    scores = space.components @ store.matrix()
     shares = np.square(scores, out=scores).sum(axis=1) / total
     return CurveSeries(values=np.cumsum(shares), label=label)
 

@@ -771,21 +771,39 @@ def _stream_snapshot(state):
     )
 
 
+_BAD_SAMPLES = [
+    ("wrong-length", [1.0, 2.0, 3.0, 4.0], DimensionMismatchError),
+    ("nan", [1.0, math.nan, 3.0], NonFiniteSampleError),
+    # a sample with both faults is refused for its values, not its length
+    ("nan-and-wrong-length", [1.0, math.nan, 3.0, 4.0], NonFiniteSampleError),
+]
+
+
 @pytest.mark.parametrize(
-    "sample, error",
+    "entry, sample, error",
     [
-        ([1.0, 2.0, 3.0, 4.0], DimensionMismatchError),
-        ([1.0, math.nan, 3.0], NonFiniteSampleError),
-        # a sample with both faults is refused for its values, not its length
-        ([1.0, math.nan, 3.0, 4.0], NonFiniteSampleError),
+        pytest.param(entry, sample, error, id=f"{entry}-{name}")
+        for entry in ["initialize", "ingest", "oja", "append", "from_matrix"]
+        for name, sample, error in _BAD_SAMPLES
+        # a matrix's columns all have its length, so it can only hold non-finite samples
+        if entry != "from_matrix" or error is NonFiniteSampleError
     ],
-    ids=["wrong-length", "nan", "nan-and-wrong-length"],
 )
-@pytest.mark.parametrize("entry", ["initialize", "ingest", "oja"])
 def test_one_sample_check_at_every_entry_point(entry, sample, error):
     cfg = AdaptiveConfig(space_limit=3, processing_limit=2, seed=4)
     data = RngState(13).gaussian((3, 6))
-    if entry == "initialize":
+    if entry == "from_matrix":
+        m = np.zeros((len(sample), 3), order="F")  # adopted as it is, so any flag change shows
+        m[:, 1] = sample
+        with pytest.raises(error, match="time-step 2 has NaN or infinite entries"):
+            SampleStore.from_matrix(m)
+        assert m.flags.writeable
+    elif entry == "append":
+        store = SampleStore.from_matrix(data)
+        with pytest.raises(error):
+            store.append(sample)
+        assert store.count == 6 and np.array_equal(store.matrix(), data)
+    elif entry == "initialize":
         with pytest.raises(error):
             initialize(data[:, 0], sample, cfg)
     elif entry == "oja":

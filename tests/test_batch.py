@@ -162,6 +162,19 @@ class TestSymEig:
         with pytest.raises(ValueError):
             sym_eig(m)
 
+    def test_peak_memory_is_close_to_eighs(self):
+        # the checks share one n x n buffer and free it before eigh allocates its own
+        g = gram(synth("cascade", d=2000, n=300, seed=9)[0])
+        peaks = []
+        for solve in (sym_eig, np.linalg.eigh):
+            tracemalloc.start()
+            try:
+                solve(g)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 1.15 * peaks[1]
+
     def test_lapack_failure_maps_to_convergence_error(self, monkeypatch):
         def failing_eigh(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -595,6 +595,21 @@ class TestErrors:
         assert rc == 1
         assert not (tmp_path / "x" / "curves.csv").exists()
 
+    @pytest.mark.parametrize("command", ["compare", "counters", "eigenfunctions"])
+    def test_non_finite_volume_fails_with_one_message(self, tmp_path, capsys, command):
+        # the loader's store refuses the sample, so every subcommand names its time-step
+        for t in range(6):
+            values = np.arange(8, dtype="<f4") + t
+            if t == 3:
+                values[2] = np.nan
+            (tmp_path / f"step_{t}.raw").write_bytes(values.tobytes())
+        out = tmp_path / "out"
+        volumes = str(tmp_path / "step_*.raw")
+        rc = main([command, "--volumes", volumes, "--shape", "8", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: time-step 4 has NaN or infinite entries\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -16,6 +16,7 @@ from streampca import (
     SampleStore,
     normalize,
     sample_indices,
+    synth,
 )
 
 as_vector = core._as_vector
@@ -246,6 +247,18 @@ class TestSampleStore:
         m = RngState(3).gaussian((4, 6))
         store = SampleStore.from_matrix(m)
         assert np.array_equal(store.matrix(), m)
+
+    def test_from_matrix_checks_the_matrix_in_place(self):
+        # blob's 4096 x 800 matrix is 26 MB; what the store allocates is its 800 sample views
+        m = synth("rotating_blob", d=4096, n=800)[0].matrix()
+        tracemalloc.start()
+        try:
+            store = SampleStore.from_matrix(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert store.matrix() is m
+        assert peak <= 256 * 1024
 
     def test_matrix_column_selection(self):
         m = RngState(5).gaussian((3, 5))

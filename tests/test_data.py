@@ -7,6 +7,7 @@ import streampca.data as data_module
 from streampca import (
     EmptyDatasetError,
     MalformedFileError,
+    NonFiniteSampleError,
     RngState,
     SampleStore,
     dual_pca,
@@ -49,6 +50,16 @@ class TestRawVolumes:
         store, _ = load_raw_volumes(str(tmp_path / "*.raw"), (4,), "f32", "little")
         assert store.count == 2
         assert np.array_equal(store.matrix(), np.ones((4, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_volume_names_its_time_step(self, tmp_path, bad):
+        for t in range(4):
+            values = np.full(4, float(t), dtype="<f4")
+            if t == 2:
+                values[1] = bad
+            (tmp_path / f"t{t}.raw").write_bytes(values.tobytes())
+        with pytest.raises(NonFiniteSampleError, match="^time-step 3 has NaN or infinite entries$"):
+            load_raw_volumes(str(tmp_path / "*.raw"), (4,), "f32")
 
     def test_no_matches(self, tmp_path):
         with pytest.raises(EmptyDatasetError):

@@ -265,8 +265,10 @@ class TestCurveSeriesInvariants:
             CurveSeries([0.5, 0.4])
 
     def test_rejects_above_one(self):
-        with pytest.raises(ValueError):
-            CurveSeries([0.5, 1.5])
+        # a non-finite value fails the same range check
+        for values in ([0.5, 1.5], [0.5, math.inf], [-math.inf, 0.5], [math.nan], [0.5, math.nan]):
+            with pytest.raises(ValueError, match="must lie in"):
+                CurveSeries(values)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
