@@ -39,8 +39,14 @@ from .core import (
 
 
 # each component's rank-1 deflation is applied over row blocks of at most this size,
-# so its temporary stays this small whatever the workspace's size
+# so its product buffer stays this small whatever the workspace's size
 _DEFLATE_BLOCK_BYTES = 256 * 1024
+# numpy's ufunc buffer size, in elements, during a step. At the default 8192, numpy 2.x
+# buffers the deflation's column-times-row product for rows of up to 2730 elements, which
+# measured 4-6x slower than an unbuffered inner loop at d = 500 to 2730 (numpy 2.4, 2-vCPU
+# Xeon); at 1024 only rows of up to 341 are buffered. Each element is the same multiply
+# either way, and the step's reductions keep their bits too
+_STEP_BUFSIZE = 1024
 
 
 @dataclass
@@ -163,6 +169,20 @@ def update_component(v, previous, new):
     return vec + xs @ (scores * corrs**2) + new_score * weight * xn
 
 
+def _deflate(rows, v, part):
+    """Subtract from every row of ``rows`` its projection on the unit vector ``v``, in place.
+
+    Rows are taken ``len(part)`` at a time: each block's product is written
+    into ``part`` and then subtracted, so the result equals
+    ``rows - np.outer(rows @ v, v)`` bit for bit.
+    """
+    scores = rows @ v
+    block = len(part)
+    for lo in range(0, len(rows), block):
+        piece = rows[lo : lo + block]
+        piece -= np.multiply(scores[lo : lo + block, None], v, out=part[: len(piece)])
+
+
 def ingest(state: AdaptiveState, x_new) -> AdaptiveState:
     """Advance the stream by one time-step, updating the state in place.
 
@@ -179,7 +199,10 @@ def ingest(state: AdaptiveState, x_new) -> AdaptiveState:
     kept, becomes ``state.components``. The workspace is sample-major, one
     row per sample, so each component's rank-1 deflation runs along
     contiguous d-long rows, in place; ``update_component`` sees its (d, k)
-    transpose. A residual whose norm is at or below
+    transpose. The deflation's product goes through one buffer of at most
+    256 KiB, and the step runs under a ufunc buffer size of 1024 elements
+    (the caller's size is restored on exit), so that numpy does not buffer
+    the product's rows. A residual whose norm is at or below
     ``core.DEGENERATE_TOL`` is dropped and logged in
     ``state.degenerate_events`` as (time-step, component position), and
     a full space's trailing component, which the step does not update,
@@ -209,6 +232,8 @@ def ingest(state: AdaptiveState, x_new) -> AdaptiveState:
     rows[k] = x
     previous, new = rows[:k].T, rows[k]
     block = max(1, _DEFLATE_BLOCK_BYTES // rows[0].nbytes)
+    part = np.empty((min(block, k + 1), state.dim))
+    bufsize = np.setbufsize(_STEP_BUFSIZE)
     try:
         # an overflow shows up as a non-finite norm in normalize, so numpy need not warn
         with np.errstate(over="ignore", invalid="ignore"):
@@ -229,9 +254,7 @@ def ingest(state: AdaptiveState, x_new) -> AdaptiveState:
                     raise DegenerateVectorError(
                         f"component {i + 1} degenerated at time-step {n + 1}"
                     ) from err
-                scores = rows @ vnew
-                for lo in range(0, k + 1, block):
-                    rows[lo : lo + block] -= np.outer(scores[lo : lo + block], vnew)
+                _deflate(rows, vnew, part)
             try:
                 basis[updated] = normalize(rows.sum(axis=0))
                 kept = updated + 1
@@ -240,6 +263,9 @@ def ingest(state: AdaptiveState, x_new) -> AdaptiveState:
     except (OverflowError, NonFiniteSampleError) as err:
         # OverflowError: the weight's Python float square in update_component
         raise NonFiniteSampleError(f"time-step {n + 1} overflows the update: {err}") from err
+    finally:
+        # restored by hand: leaving np.errstate undoes a setbufsize only on numpy >= 2.0
+        np.setbufsize(bufsize)
     # a trailing component this step did not update was orthogonalised only against
     # the old components, so it goes, and the residual (if any) takes its place. A
     # space of one updates nothing, and its lone component is orthonormal by itself

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConvergenceError, DegenerateDataError, DimensionMismatchError, SampleStore
+from .core import (
+    ConvergenceError,
+    DegenerateDataError,
+    DimensionMismatchError,
+    NonFiniteSampleError,
+    SampleStore,
+)
 
 
 @dataclass
@@ -77,11 +83,17 @@ def gram(store: SampleStore) -> np.ndarray:
 
     The result is exactly symmetric: numpy computes a product of a matrix
     with its own transpose as one triangle (BLAS ``syrk``) and mirrors it.
+    Finite samples whose inner products overflow float64 raise
+    NonFiniteSampleError, as the streaming step does.
     """
     if store.count < 2:
         raise DegenerateDataError(f"need at least 2 samples, have {store.count}")
     x = store.matrix()
-    return x.T @ x
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = x.T @ x
+    if not np.isfinite(g).all():
+        raise NonFiniteSampleError("the samples' inner products overflow float64")
+    return g
 
 
 def sym_eig(m):

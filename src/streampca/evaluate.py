@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import EigenSpace
-from .core import DegenerateDataError, DimensionMismatchError, SampleStore
+from .core import DegenerateDataError, DimensionMismatchError, NonFiniteSampleError, SampleStore
 
 
 @dataclass
@@ -51,15 +51,22 @@ def explained_variance(space: EigenSpace, store: SampleStore, label: str = "") -
     mean-subtracted variance); the curve is the running sum of the e_i in
     component order. Each ||x_t||^2 sums the sample's squares pairwise,
     and ``math.fsum`` adds those n values, so the total does not depend on
-    how the store lays its samples out. The call reads the store in place
-    and allocates the (components, steps) scores, which are
+    how the store lays its samples out. Finite samples whose total
+    overflows float64 raise NonFiniteSampleError. The call reads the store
+    in place and allocates the (components, steps) scores, which are
     ``eigenfunctions(space, store)``, and one d-vector.
     """
     scores = eigenfunctions(space, store)
     if store.count < 2:
         raise DegenerateDataError(f"need at least 2 samples, have {store.count}")
     squares = np.empty(store.dim)
-    total = math.fsum(float(np.square(x, out=squares).sum()) for x in store)
+    try:
+        with np.errstate(over="ignore"):
+            total = math.fsum(float(np.square(x, out=squares).sum()) for x in store)
+    except OverflowError:  # fsum's own sum of finite terms overflowed
+        total = math.inf
+    if not math.isfinite(total):
+        raise NonFiniteSampleError("the samples' total variance overflows float64")
     if total <= 0.0:
         raise DegenerateDataError("samples carry no variance")
     shares = np.square(scores, out=scores).sum(axis=1) / total

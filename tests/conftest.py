@@ -18,6 +18,13 @@ FIXTURE_N = 10
 FIXTURE_SEED = 42
 
 
+def overflowing_store():
+    """A 3x4 store of finite samples whose squares overflow float64."""
+    x = np.arange(12.0).reshape(3, 4)
+    x[0] = [1e200, -1e200, 1e200, 2e200]
+    return SampleStore.from_matrix(x)
+
+
 @pytest.fixture(scope="session")
 def fixture_matrix():
     return RngState(FIXTURE_SEED).gaussian((FIXTURE_D, FIXTURE_N))

@@ -15,6 +15,7 @@ from streampca import (
     AdaptiveConfig,
     DegenerateVectorError,
     DimensionMismatchError,
+    EigenSpace,
     NonFiniteSampleError,
     RngState,
     SampleStore,
@@ -34,7 +35,8 @@ from streampca import (
     update_component,
 )
 
-from conftest import FIXTURE_D, FIXTURE_N, FIXTURE_SEED
+from conftest import FIXTURE_D, FIXTURE_N, FIXTURE_SEED, overflowing_store
+from streampca.adaptive import _DEFLATE_BLOCK_BYTES, _deflate
 
 # Regression value for the seed-42 fixture stream: largest gap between the
 # streaming curve and the batch curve, frozen from the verified run.
@@ -532,6 +534,46 @@ class TestIngest:
         assert ((20, 1) in state.degenerate_events) == centred
 
 
+class TestDeflation:
+    @pytest.mark.parametrize("d", [500, 2730, 2731, 4096])
+    @pytest.mark.parametrize("bufsize", [8192, 1024])
+    def test_block_deflation_keeps_its_bits(self, d, bufsize):
+        # numpy buffers the product's rows up to bufsize / 3 elements long and runs longer
+        # ones unbuffered; either way each row is the same multiply and the same subtract
+        block = _DEFLATE_BLOCK_BYTES // (8 * d)
+        rng = RngState(d)
+        rows = rng.gaussian((2 * block + 3, d))
+        v = normalize(rng.gaussian(d))
+        want = rows - np.outer(rows @ v, v)
+        old = np.setbufsize(bufsize)
+        try:
+            _deflate(rows, v, np.empty((block, d)))
+        finally:
+            np.setbufsize(old)
+        assert rows.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("outcome", ["committed", "overflow", "degenerate"])
+    def test_step_restores_the_ufunc_settings(self, outcome):
+        scale = 1e50 if outcome == "overflow" else 1.0
+        state = initialize([0.0, 0.0, 0.0], [scale, 0.0, 0.0], AdaptiveConfig(5, 5))
+        errors = {
+            "committed": contextlib.nullcontext(),
+            "overflow": pytest.raises(NonFiniteSampleError),
+            "degenerate": pytest.raises(DegenerateVectorError),
+        }[outcome]
+        failing = _failing_update(0) if outcome == "degenerate" else contextlib.nullcontext()
+        old = np.setbufsize(2048)
+        try:
+            with np.errstate(under="raise", divide="ignore"):
+                before = (np.getbufsize(), np.geterr())
+                with errors, failing:
+                    ingest(state, [scale, 2 * scale, 0.0])
+                assert (np.getbufsize(), np.geterr()) == before
+        finally:
+            np.setbufsize(old)
+        assert state.n == (3 if outcome == "committed" else 2)
+
+
 class TestSampleSharing:
     @pytest.mark.parametrize(
         "source",
@@ -747,10 +789,19 @@ def _overflowing_step(space, scale):
         lambda: initialize([-1e308, 0.0], [1e308, 0.0], AdaptiveConfig(5, 5)),
         lambda: normalize([1e200, 0.0]),
         lambda: oja([[1.0, 0.0], [1e200, 1.0]], 0.1),
+        lambda: run_adaptive(overflowing_store(), AdaptiveConfig(5, 5)),
+        lambda: dual_pca(overflowing_store()),
+        lambda: explained_variance(EigenSpace(np.eye(3)[1:]), overflowing_store()),
+        # each sample's squares sum to 1e308; only math.fsum's total overflows
+        lambda: explained_variance(
+            EigenSpace(np.eye(3)[:1]),
+            SampleStore.from_matrix(np.outer([1e154, 0.0, 0.0], np.ones(4))),
+        ),
     ],
     ids=[
         "ingest-1e50", "ingest-1e60", "ingest-space1-1e154", "initialize-1e155",
-        "initialize-difference", "normalize-1e200", "oja-1e200",
+        "initialize-difference", "normalize-1e200", "oja-1e200", "run-adaptive-store",
+        "dual-pca-store", "explained-variance-store", "explained-variance-total",
     ],
 )
 def test_overflow_raises_the_typed_error_not_a_warning(call):

@@ -15,6 +15,8 @@ import streampca
 from streampca import cli
 from streampca.cli import main
 
+from conftest import overflowing_store
+
 
 def _read_csv(path):
     with open(path, newline="") as fh:
@@ -608,6 +610,19 @@ class TestErrors:
         rc = main([command, "--volumes", volumes, "--shape", "8", "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err == "error: time-step 4 has NaN or infinite entries\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["batch", "adaptive-limited", "adaptive-stochastic", "oja"])
+    def test_overflowing_samples_fail_with_one_message(self, tmp_path, capsys, monkeypatch, mode):
+        # finite samples whose squares overflow: the oracle's Gram, which every mode
+        # computes first, refuses them with the stream's typed error
+        monkeypatch.setattr(cli, "load_dataset", lambda cfg: (overflowing_store(), None))
+        out = tmp_path / "out"
+        argv = ["compare", "--synth", "lowrank", "--d", "3", "--n", "4", "--mode", mode]
+        if mode == "adaptive-stochastic":
+            argv += ["--space-limit", "2", "--processing-limit", "2", "--seeds", "1..2"]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: the samples' inner products overflow float64\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
