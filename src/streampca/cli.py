@@ -10,7 +10,9 @@ plot-ready CSV artifacts plus a JSON run record:
 * ``synth-dump``: write a synthetic dataset as raw volume files.
 
 All numeric CSV payloads are byte-identical across invocations with the
-same configuration and seeds; wall-clock facts live only in meta.json.
+same configuration and seeds and the same BLAS thread count (OpenBLAS can
+split a product such as the Gram differently at another thread count, which
+moves the last bits of the curves); wall-clock facts live only in meta.json.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ two-mode waves, smoothly evolving blobs, concentrated cascades).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -97,17 +98,18 @@ def _time_ordered(pattern, manifest) -> list[Path]:
 def _load_files(pattern, manifest, name: str, read, **source) -> tuple[SampleStore, DatasetMeta]:
     """Read the time-ordered files (see ``_time_ordered``) into one store.
 
-    ``read(path)`` returns a file's (values, shape, element type), values
-    being a float64 vector. Each file's values are written into one column
-    of a column-major float64 matrix, which the store adopts, so the
-    dataset is one read-only buffer. The first file sets the dataset's
-    shape and element type, and every later one must have its shape.
-    ``source`` completes the meta's file record.
+    ``read(path)`` returns a file's typed values, shape, element type and
+    divisor (``None`` keeps the values as they are). Each file's values are
+    written into one column of a column-major float64 matrix, which widens
+    them exactly, and that column is divided in place; the store adopts the
+    matrix, so the dataset is one read-only buffer. The first file sets the
+    dataset's shape and element type, and every later one must have its
+    shape. ``source`` completes the meta's file record.
     """
     files = _time_ordered(pattern, manifest)
     x = shape = element_type = None
     for j, f in enumerate(files):
-        values, frame_shape, frame_type = read(Path(f))
+        values, frame_shape, frame_type, divisor = read(Path(f))
         if x is None:
             shape, element_type = frame_shape, frame_type
             x = np.empty((values.shape[0], len(files)), order="F")
@@ -116,7 +118,10 @@ def _load_files(pattern, manifest, name: str, read, **source) -> tuple[SampleSto
                 f"{f}: frame is {'x'.join(map(str, frame_shape))}, "
                 f"sequence is {'x'.join(map(str, shape))}"
             )
-        x[:, j] = values
+        column = x[:, j]
+        column[...] = values
+        if divisor is not None:
+            column /= divisor
     store = SampleStore.from_matrix(x)
     record = {"kind": "file", "pattern": str(pattern), "files": [str(f) for f in files], **source}
     return store, DatasetMeta(name, shape, element_type, store.count, record)
@@ -138,6 +143,7 @@ def load_raw_volumes(
     """
     shape = tuple(int(s) for s in shape)
     dt, maxval = _element_dtype(element_type, byte_order)
+    divisor = maxval if scale else None
     expected_bytes = int(np.prod(shape)) * dt.itemsize
 
     def read(f: Path):
@@ -147,13 +153,10 @@ def load_raw_volumes(
                 f"{f}: {len(payload)} bytes, expected {expected_bytes} "
                 f"for shape {shape} of {element_type}"
             )
-        values = np.frombuffer(payload, dtype=dt).astype(np.float64)
-        if scale and maxval is not None:
-            values = values / maxval
-        return values, shape, element_type
+        return np.frombuffer(payload, dtype=dt), shape, element_type, divisor
 
-    name, scaled = Path(path_pattern).stem, bool(scale and maxval is not None)
-    return _load_files(path_pattern, manifest, name, read, byte_order=byte_order, scaled=scaled)
+    source = {"byte_order": byte_order, "scaled": divisor is not None}
+    return _load_files(path_pattern, manifest, Path(path_pattern).stem, read, **source)
 
 
 def save_raw_volumes(
@@ -173,57 +176,47 @@ def save_raw_volumes(
     out.mkdir(parents=True, exist_ok=True)
     width = max(4, len(str(max(store.count - 1, 0))))
     paths = []
-    for j, sample in enumerate(store):
-        values = sample
+    for j, values in enumerate(store):
         if maxval is not None:
             values = np.clip(np.rint(values * maxval), 0, maxval)
         path = out / f"step_{j:0{width}d}.raw"
-        path.write_bytes(np.ascontiguousarray(values.astype(dt)).tobytes())
+        path.write_bytes(values.astype(dt))
         paths.append(path)
     return paths
 
 
-def _read_pgm(path: Path, scale: bool) -> tuple[np.ndarray, tuple, str]:
-    """Parse one binary PGM; returns its float64 pixels, scaled to [0, 1] by
-    maxval when ``scale`` is set, its (height, width) and its element type."""
+# "P5", then width, height and maxval, each after whitespace and comments, then the one
+# whitespace byte before the pixels. A comment ends at its line break, and a "#" glued to a
+# field stays in it, so no byte can be read two ways and a match takes linear time.
+_PGM_SKIP = rb"(?:\s|#[^\r\n]*[\r\n])*"
+_PGM_HEADER = re.compile(
+    rb"P5" + _PGM_SKIP + rb"([^\s#]\S*)" + (rb"\s" + _PGM_SKIP + rb"([^\s#]\S*)") * 2 + rb"\s?"
+)
+
+
+def _read_pgm(path: Path, scale: bool) -> tuple[np.ndarray, tuple, str, int | None]:
+    """Parse one binary PGM; returns its typed pixels, its (height, width), its
+    element type and its divisor (maxval when ``scale`` is set, else ``None``)."""
     payload = path.read_bytes()
-    if payload[:2] != b"P5":
+    header = _PGM_HEADER.match(payload)
+    if header is None and payload[:2] != b"P5":
         raise MalformedFileError(f"{path}: not a binary PGM (magic {payload[:2]!r})")
-    pos = 2
-    fields = []
-    while len(fields) < 3:
-        while pos < len(payload) and payload[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(payload) and payload[pos : pos + 1] == b"#":
-            while pos < len(payload) and payload[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-            continue
-        start = pos
-        while pos < len(payload) and not payload[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise MalformedFileError(f"{path}: truncated header")
-        fields.append(payload[start:pos])
-    pos += 1  # single whitespace byte separates header from pixels
+    if header is None:
+        raise MalformedFileError(f"{path}: truncated header")
+    fields = list(header.groups())
     try:
         width, height, maxval = (int(f) for f in fields)
     except ValueError:
         raise MalformedFileError(f"{path}: non-numeric header fields {fields}") from None
     if width < 1 or height < 1 or not (0 < maxval <= 65535):
-        raise MalformedFileError(
-            f"{path}: bad dimensions {width}x{height} maxval {maxval}"
-        )
-    dt = np.dtype(np.uint8) if maxval < 256 else np.dtype(">u2")
-    expected = width * height * dt.itemsize
-    pixels = payload[pos : pos + expected]
-    if len(pixels) != expected:
-        raise MalformedFileError(
-            f"{path}: pixel payload holds {len(pixels)} bytes, expected {expected}"
-        )
-    values = np.frombuffer(pixels, dtype=dt).astype(np.float64)
-    if scale:
-        values = values / maxval
-    return values, (height, width), ("u8" if maxval < 256 else "u16")
+        raise MalformedFileError(f"{path}: bad dimensions {width}x{height} maxval {maxval}")
+    element_type = "u8" if maxval < 256 else "u16"
+    dt, _ = _element_dtype(element_type, "big")
+    held, expected = len(payload) - header.end(), width * height * dt.itemsize
+    if held < expected:
+        raise MalformedFileError(f"{path}: pixel payload holds {held} bytes, expected {expected}")
+    pixels = np.frombuffer(payload, dt, width * height, header.end())
+    return pixels, (height, width), element_type, maxval if scale else None
 
 
 def load_pgm_sequence(

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -108,6 +109,33 @@ class TestRawVolumes:
         reloaded, _ = load_raw_volumes(str(tmp_path / "dump" / "*.raw"), (4,), "u8")
         assert np.array_equal(reloaded.matrix(), raw / 255.0)
 
+    @pytest.mark.parametrize("scale", [True, False], ids=["scaled", "raw-values"])
+    @pytest.mark.parametrize("byte_order", ["little", "big"])
+    @pytest.mark.parametrize(
+        "element_type, code, maxval",
+        [("f32", "f4", None), ("u8", "u1", 255.0), ("u16", "u2", 65535.0)],
+    )
+    def test_values_widen_and_scale_exactly(
+        self, tmp_path, element_type, code, maxval, byte_order, scale
+    ):
+        dt = np.dtype(("<" if byte_order == "little" else ">") + code)
+        columns = []
+        for t in range(3):
+            if maxval is None:
+                payload = RngState(t).gaussian(64).astype(dt).tobytes()
+            else:  # every byte value, in a different order at each time-step
+                payload = bytes(((np.arange(64 * dt.itemsize) * 97 + 31 * t) % 256).tolist())
+            (tmp_path / f"t{t}.raw").write_bytes(payload)
+            expected = np.frombuffer(payload, dt).astype(np.float64)
+            if scale and maxval is not None:
+                expected = expected / maxval
+            columns.append(expected)
+        store, meta = load_raw_volumes(
+            str(tmp_path / "*.raw"), (64,), element_type, byte_order, scale=scale
+        )
+        assert store.matrix().tobytes(order="F") == np.stack(columns, axis=1).tobytes(order="F")
+        assert meta.source["scaled"] is (scale and maxval is not None)
+
 
 class TestPgmSequence:
     def test_constructed_header(self, tmp_path):
@@ -155,6 +183,65 @@ class TestPgmSequence:
     def test_empty_directory(self, tmp_path):
         with pytest.raises(EmptyDatasetError):
             load_pgm_sequence(tmp_path)
+
+    @pytest.mark.parametrize("scale", [True, False], ids=["scaled", "raw-values"])
+    @pytest.mark.parametrize("maxval", [255, 1000, 65535])
+    def test_pixels_widen_and_scale_exactly(self, tmp_path, maxval, scale):
+        dt = np.dtype(np.uint8) if maxval < 256 else np.dtype(">u2")
+        columns = []
+        for t in range(3):
+            pixels = ((np.arange(12) * 97 + 31 * t) % (maxval + 1)).astype(dt).tobytes()
+            _write_pgm(tmp_path / f"f{t}.pgm", 4, 3, maxval, pixels, comment=b"frame")
+            expected = np.frombuffer(pixels, dt).astype(np.float64)
+            columns.append(expected / maxval if scale else expected)
+        store, meta = load_pgm_sequence(tmp_path, scale=scale)
+        assert store.matrix().tobytes(order="F") == np.stack(columns, axis=1).tobytes(order="F")
+        assert meta.shape == (3, 4) and meta.element_type == ("u8" if maxval < 256 else "u16")
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b"P5# a comment straight after the magic\n2 1\n255\n",
+            b"P5\n2 # the width\n# the height\n1\n# the maxval\n255\n",
+            b"P5\r2\r# a comment with a CR line end\r1\r255\r",
+            b"P5\r\n# CR LF line ends\r\n2 1\r\n255\n",
+        ],
+        ids=["after-magic", "between-fields", "cr", "crlf"],
+    )
+    def test_header_comments_and_line_ends(self, tmp_path, header):
+        (tmp_path / "f.pgm").write_bytes(header + bytes([51, 102]))
+        store, meta = load_pgm_sequence(tmp_path)
+        assert np.array_equal(store[0], [51 / 255, 102 / 255])
+        assert meta.shape == (1, 2)
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (b"P5\n2#glued\n1\n255\n\x00\x00", r"non-numeric .* \[b'2#glued', b'1', b'255'\]"),
+            (b"P5 2 1 255#glued\n\x00\x00", r"non-numeric .* \[b'2', b'1', b'255#glued'\]"),
+            (b"P5\n2 1\n", "truncated header"),
+            (b"P5\n2 1\n# a comment that never ends", "truncated header"),
+            (b"P5 0 1 255\n\x00", "bad dimensions 0x1 maxval 255"),
+            (b"P5 1 1 65536\n\x00\x00", "bad dimensions 1x1 maxval 65536"),
+            (b"P5 2 1 255", "pixel payload holds 0 bytes, expected 2"),
+            (b"P5 2 1 1000\n\x00\x00\x00", "pixel payload holds 3 bytes, expected 4"),
+        ],
+        ids=[
+            "comment-glued-to-width", "comment-glued-to-maxval", "two-fields", "endless-comment",
+            "zero-width", "maxval-above-16-bits", "no-pixels", "short-16-bit-pixels",
+        ],
+    )
+    def test_malformed_header_is_rejected(self, tmp_path, payload, message):
+        (tmp_path / "f.pgm").write_bytes(payload)
+        with pytest.raises(MalformedFileError, match=message):
+            load_pgm_sequence(tmp_path)
+
+    def test_megabyte_comment_without_a_line_break_is_rejected_quickly(self, tmp_path):
+        (tmp_path / "f.pgm").write_bytes(b"P5" + b"#" * (1 << 20))
+        start = time.perf_counter()
+        with pytest.raises(MalformedFileError, match="truncated header"):
+            load_pgm_sequence(tmp_path)
+        assert time.perf_counter() - start < 0.25
 
 
 class TestOneBuffer:
