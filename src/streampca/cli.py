@@ -43,6 +43,8 @@ from .evaluate import CurveSeries, curve_gap, eigenfunctions, explained_variance
 ADAPTIVE_MODES = ("adaptive-full", "adaptive-limited", "adaptive-stochastic")
 MODES = ("batch", *ADAPTIVE_MODES, "oja")
 STOCHASTIC_LIMIT = 40  # processing_limit of stochastic runs when none is given
+SPACE_LIMIT = 20  # space_limit of limited and stochastic runs when none is given
+LEARNING_RATE = 0.01  # learning_rate of Oja runs when none is given
 
 
 # the settings meta.json records, as resolved by _config_from_args
@@ -296,10 +298,9 @@ def _dataset_from_args(args) -> dict:
 def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     """Resolve the CLI flags, checking every rule but the data's, which load_dataset checks.
 
-    Sets the resolved ``dataset``, ``seeds``, ``processing_limit`` and
-    ``output_dir`` on the parsed namespace and returns it: ``processing_limit``
-    and ``seeds`` belong to the stochastic mode, and the other modes, which
-    correlate every previous sample, get None and [].
+    Sets the resolved ``dataset``, ``seeds``, ``processing_limit``, ``space_limit``,
+    ``learning_rate`` and ``output_dir`` on the parsed namespace and returns it. A
+    mode refuses an explicit setting it does not read and gets None for it ([] for seeds).
     """
     if args.mode != "adaptive-stochastic":
         if args.seeds is not None or args.processing_limit is not None:  # an empty --seeds too
@@ -310,13 +311,23 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
             args.seeds = [0] if args.command == "counters" else []
         if not args.seeds:
             raise ValueError("stochastic mode needs at least one seed")
+        if len(set(args.seeds)) < len(args.seeds):
+            raise ValueError(f"seeds {args.seeds} repeat a seed; each seed is one run")
         if args.command == "counters" and len(args.seeds) > 1:
             raise ValueError("counters runs one stream; give one seed")
         if args.processing_limit is None:
             args.processing_limit = STOCHASTIC_LIMIT
-    # AdaptiveConfig holds the limits' lower bound; modes that draw nothing have no processing_limit
-    limit = args.processing_limit
-    AdaptiveConfig(args.space_limit, STOCHASTIC_LIMIT if limit is None else limit)
+    for name, reads, default in (
+        ("space_limit", args.mode in ("adaptive-limited", "adaptive-stochastic"), SPACE_LIMIT),
+        ("learning_rate", args.mode == "oja", LEARNING_RATE),
+    ):
+        if getattr(args, name) is None:
+            setattr(args, name, default if reads else None)
+        elif not reads:
+            raise ValueError(f"{args.mode} mode takes no {name}")
+    if args.space_limit is not None:  # AdaptiveConfig holds the limits' lower bound
+        limit = args.processing_limit
+        AdaptiveConfig(args.space_limit, STOCHASTIC_LIMIT if limit is None else limit)
     if args.command == "eigenfunctions" and (not args.components or min(args.components) < 1):
         raise ValueError(f"components {args.components} are empty or hold an entry below 1")
     args.dataset = _dataset_from_args(args)
@@ -327,13 +338,13 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's flag table: each flag is declared once, with its default."""
+    """The CLI's flag table, each flag declared once; _config_from_args fills in mode defaults."""
     common, run, stochastic = (argparse.ArgumentParser(add_help=False) for _ in range(3))
     _add_dataset_flags(common)
     common.add_argument("--out", default="out", help="output directory")
     # the subcommands that run PCA
     run.add_argument(
-        "--space-limit", type=int, default=20, help="components kept (limited and stochastic modes)"
+        "--space-limit", type=int, help="components kept (limited and stochastic modes)"
     )
     run.add_argument("--centered", action="store_true", help="pre-center the stream")
     # the subcommands with a stochastic mode
@@ -354,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         "compare", parents=[common, run, stochastic], help="batch vs streaming explained variance"
     )
     compare.add_argument("--mode", choices=MODES, default="adaptive-full")
-    compare.add_argument("--learning-rate", type=float, default=0.01, help="Oja step size")
+    compare.add_argument("--learning-rate", type=float, help="Oja step size")
     eig = sub.add_parser(
         "eigenfunctions", parents=[common, run], help="per-component score time series"
     )

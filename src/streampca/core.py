@@ -8,6 +8,7 @@ evaluation tools) builds on the types in this module. All scalars are
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -50,8 +51,9 @@ def _as_vector(x) -> np.ndarray:
 
 
 def _unreachable(v: np.ndarray) -> bool:
-    """True when no writeable array can reach the contiguous ``v``'s memory:
-    ``v`` and the array that owns that memory are both read-only."""
+    """True when the contiguous ``v`` and the array that owns its memory are both
+    read-only, so no writeable array can be made from them; a writeable view
+    taken before the owner was set read-only still writes into that memory."""
     owner = v
     while isinstance(owner.base, np.ndarray):
         owner = owner.base
@@ -87,10 +89,11 @@ class SampleStore:
 
     Insertion order is time order: index ``j`` holds time-step ``j``.
     Every sample passes ``as_sample``'s rule (finite, ``dim`` long) and is
-    a read-only, contiguous float64 vector. ``append`` shares a sample that
-    no writeable array can reach and copies any other; ``from_matrix``
+    a read-only, contiguous float64 vector. ``append`` shares a read-only
+    sample whose memory's owner is read-only too and copies any other; ``from_matrix``
     adopts an F-contiguous float64 matrix without copying it and sets that
-    matrix read-only.
+    matrix read-only. A writeable view of a shared sample's memory, taken
+    before it was set read-only, still writes into the store.
     """
 
     def __init__(self, dim: int):
@@ -180,13 +183,13 @@ _U53 = 2.0 ** -53
 class RngState:
     """SplitMix64 pseudo-random generator.
 
-    The state advances by the odd constant 0x9E3779B97F4A7C15 per draw and
-    each output is the standard SplitMix64 finalizer of the new state
+    The state advances by the odd constant 0x9E3779B97F4A7C15 per word and
+    each word is the standard SplitMix64 finalizer of the new state
     (xor-shift 30, multiply, xor-shift 27, multiply, xor-shift 31, all
-    modulo 2**64). Identical seeds therefore give identical integer and
-    uniform streams on every platform. Gaussian variates use Box-Muller on
-    top of the uniform stream; vectorized block draws consume exactly the
-    same stream positions as repeated scalar draws would.
+    modulo 2**64). Identical seeds therefore give identical word, uniform
+    and Gaussian streams on every platform. Every draw takes its words in
+    one block from ``words``, so m words drawn at once are the m words
+    drawn one at a time; uniform and Gaussian variates are built on them.
     """
 
     def __init__(self, seed: int):
@@ -196,18 +199,8 @@ class RngState:
     def __repr__(self):
         return f"RngState(seed={self.seed})"
 
-    @staticmethod
-    def _mix_scalar(z: int) -> int:
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
-
-    def next_u64(self) -> int:
-        """Next 64-bit word of the stream."""
-        self._state = (self._state + _GAMMA) & _MASK64
-        return self._mix_scalar(self._state)
-
-    def _block_u64(self, m: int) -> np.ndarray:
+    def words(self, m: int) -> np.ndarray:
+        """The next ``m`` 64-bit words of the stream, as a uint64 array."""
         # in place, so the peak is the block plus one shifted copy
         z = np.arange(1, m + 1, dtype=np.uint64)
         z *= np.uint64(_GAMMA)
@@ -220,11 +213,9 @@ class RngState:
         z ^= z >> np.uint64(31)
         return z
 
-    def uniform(self, size=None):
-        """Uniform float64 draws in [0, 1) with 53-bit resolution."""
-        if size is None:
-            return (self.next_u64() >> 11) * _U53
-        words = self._block_u64(int(np.prod(size)))
+    def uniform(self, size):
+        """Uniform float64 draws in [0, 1) with 53-bit resolution, one per word."""
+        words = self.words(int(np.prod(size)))
         u = (words >> np.uint64(11)).astype(np.float64) * _U53
         return u.reshape(size)
 
@@ -237,7 +228,7 @@ class RngState:
         scalar = size is None
         m = 1 if scalar else int(np.prod(size))
         pairs = (m + 1) // 2
-        words = self._block_u64(2 * pairs)
+        words = self.words(2 * pairs)
         # in place, so no more than two output-sized arrays are alive at once
         words >>= np.uint64(11)
         r = words[0::2].astype(np.float64)
@@ -258,16 +249,6 @@ class RngState:
         if scalar:
             return float(out[0])
         return out[:m].reshape(size)
-
-    def below(self, bound: int) -> int:
-        """Unbiased integer in [0, bound) via rejection sampling."""
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
-        limit = (_MASK64 + 1) - ((_MASK64 + 1) % bound)
-        while True:
-            w = self.next_u64()
-            if w < limit:
-                return w % bound
 
 
 @dataclass
@@ -308,18 +289,25 @@ def sample_indices(n: int, k: int, rng: RngState) -> np.ndarray:
     Returned ascending so downstream arithmetic is order-deterministic.
     When k >= n the full index set comes back and the generator is not
     advanced (the deterministic branch of the streaming update). Otherwise
-    a partial Fisher-Yates shuffle of range(n) draws ``rng.below(n - i)``
-    for i = 0..k-1; only the entries it displaces are held, so a call
-    costs O(k) time and memory whatever n is.
+    a partial Fisher-Yates shuffle of range(n) takes offset i = 0..k-1 as
+    ``w % (n - i)`` for the next word ``w`` below the largest multiple of
+    n - i under 2**64, drawing its k words in one block and any word past it
+    on its own, so a call takes exactly the words it uses. Only the entries
+    the shuffle displaces are held: O(k) time and memory whatever n is.
     """
     if n < 1 or k < 1:
         raise ValueError(f"n and k must be positive, got n={n}, k={k}")
     if k >= n:
         return np.arange(n)
+    # the k words in one block, then one draw for each word needed past it
+    words = itertools.chain(rng.words(k).tolist(), iter(lambda: int(rng.words(1)[0]), None))
     displaced = {}  # position -> the entry swapped into it; every other position holds itself
     picked = np.empty(k, dtype=int)
     for i in range(k):
-        j = i + rng.below(n - i)
+        w = next(words)
+        while w >= (_MASK64 + 1) - (_MASK64 + 1) % (n - i):  # w % (n - i) is biased above it
+            w = next(words)
+        j = i + w % (n - i)
         picked[i] = displaced.get(j, j)
         displaced[j] = displaced.get(i, i)
     picked.sort()

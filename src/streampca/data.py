@@ -325,9 +325,9 @@ def synth(
         a = rng.gaussian((d, rank))
         t = np.arange(n)
         b = np.empty((rank, n))
+        phases = 2.0 * np.pi * rng.uniform(rank)
         for i in range(rank):
-            phase = 2.0 * np.pi * rng.uniform()
-            b[i] = decay**i * np.sin(2.0 * np.pi * 0.5 * (i + 1) * t / n + phase)
+            b[i] = decay**i * np.sin(2.0 * np.pi * 0.5 * (i + 1) * t / n + phases[i])
         x = _plus_noise(a, b, sigma, rng)
 
     store = SampleStore.from_matrix(x)

@@ -19,6 +19,8 @@ from streampca import (
 )
 from streampca.batch import RANK_TOL
 
+from test_core import below  # the scalar reference draw
+
 # Eigenvalues of the symmetric 6x6 built from RngState(42), frozen from the
 # roots of its characteristic polynomial (numpy.poly + numpy.roots, an
 # independent route through the companion matrix).
@@ -271,8 +273,8 @@ class TestOracleEquivalenceProperty:
         # small instances only; the acceptance suite runs the full 50
         rng = RngState(99)
         for _ in range(8):
-            d = 2 + rng.below(24)
-            n = 2 + rng.below(11)
+            d = 2 + below(rng, 24)
+            n = 2 + below(rng, 11)
             data = rng.gaussian((d, n))
             store = SampleStore.from_matrix(data)
             space = dual_pca(center(store))

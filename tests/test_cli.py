@@ -654,7 +654,7 @@ class TestErrors:
             (["synth-dump"], "synth-dump requires --synth"),
             (["compare", "--mode", "adaptive-limited", "--space-limit", "0"], "space_limit must be >= 1"),
             (["counters", "--space-limit", "-3"], "space_limit must be >= 1"),
-            (["compare", "--mode", "batch", "--space-limit", "0"], "space_limit must be >= 1"),
+            (["compare", "--mode", "batch", "--space-limit", "0"], "batch mode takes no space_limit"),
             (
                 ["compare", "--mode", "adaptive-stochastic", "--seeds", "1", "--processing-limit", "0"],
                 "processing_limit must be >= 1",
@@ -663,11 +663,23 @@ class TestErrors:
             (["eigenfunctions", "--components", "0"], "an entry below 1"),
             (["eigenfunctions", "--components", "2,-1"], "an entry below 1"),
             (["eigenfunctions", "--components", ""], "are empty"),
+            (["compare", "--mode", "adaptive-stochastic", "--seeds", "1,1"], "repeat a seed"),
+            (["compare", "--mode", "adaptive-stochastic", "--seeds", "2,1,2"], "repeat a seed"),
+            (["compare", "--mode", "adaptive-full", "--space-limit", "5"], "takes no space_limit"),
+            (["compare", "--mode", "oja", "--space-limit", "20"], "takes no space_limit"),
+            (["eigenfunctions", "--space-limit", "5"], "batch mode takes no space_limit"),
+            (["eigenfunctions", "--mode", "adaptive-full", "--space-limit", "5"], "takes no space_limit"),
+            (["counters", "--mode", "adaptive-full", "--space-limit", "5"], "takes no space_limit"),
+            (["compare", "--mode", "adaptive-limited", "--learning-rate", "0.5"], "takes no learning_rate"),
+            (["compare", "--mode", "batch", "--learning-rate", "0.01"], "takes no learning_rate"),
         ],
         ids=[
             "limited-with-limit", "empty-seeds", "counters-3-seeds", "full-with-seed", "dump",
             "space-0", "counters-space-neg", "batch-space-0", "processing-0",
             "counters-processing-neg", "components-0", "components-neg", "components-empty",
+            "repeated-seed", "repeated-seed-apart", "full-with-space", "oja-with-space",
+            "eigenfunctions-batch-with-space", "eigenfunctions-full-with-space",
+            "counters-full-with-space", "limited-with-rate", "batch-with-default-rate",
         ],
     )
     def test_flag_errors_come_before_any_data_is_read(
@@ -706,6 +718,30 @@ def test_meta_records_resolved_stochastic_settings(tmp_path):
         assert config["processing_limit"] == cli.STOCHASTIC_LIMIT == 40
         assert config["seeds"] == seeds
         assert "runs" not in config
+
+
+@pytest.mark.parametrize(
+    "argv, space_limit, learning_rate",
+    [
+        (["compare", "--mode", "batch"], None, None),
+        (["compare", "--mode", "adaptive-full"], None, None),
+        (["compare", "--mode", "adaptive-limited"], 20, None),
+        (["compare", "--mode", "oja", "--learning-rate", "0.05"], None, 0.05),
+        (["eigenfunctions", "--mode", "adaptive-limited", "--space-limit", "3"], 3, None),
+        (["counters", "--mode", "adaptive-full"], None, None),
+        (["synth-dump"], None, None),
+    ],
+    ids=["compare-batch", "compare-full", "compare-limited", "compare-oja", "eigenfunctions-limited",
+         "counters-full", "synth-dump"],
+)
+def test_meta_records_null_for_settings_the_mode_does_not_read(
+    tmp_path, argv, space_limit, learning_rate
+):
+    out = tmp_path / "run"
+    dataset = ["--synth", "lowrank", "--d", "20", "--n", "12"]
+    assert main(argv + dataset + ["--out", str(out)]) == 0
+    config = json.loads((out / "meta.json").read_text())["config"]
+    assert (config["space_limit"], config["learning_rate"]) == (space_limit, learning_rate)
 
 
 def test_console_entry_point_runs():

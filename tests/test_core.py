@@ -23,6 +23,34 @@ as_vector = core._as_vector
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def next_word(rng):
+    """Reference: the next word of ``rng``'s SplitMix64 stream, mixed with Python ints
+    one word at a time, advancing ``rng`` as the package's block draw would."""
+    rng._state = (rng._state + _GAMMA) & _MASK64
+    z = rng._state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def below(rng, bound):
+    """Reference: an unbiased integer in [0, bound) by word-by-word rejection. A word at
+    or above the largest multiple of ``bound`` that fits in 64 bits is skipped."""
+    limit = (_MASK64 + 1) - (_MASK64 + 1) % bound
+    while True:
+        w = next_word(rng)
+        if w < limit:
+            return w % bound
+
+
+def words_taken(rng):
+    """How many words ``rng`` has drawn since it was seeded."""
+    return ((rng._state - rng.seed) * pow(_GAMMA, -1, _MASK64 + 1)) & _MASK64
+
 
 class TestNormalize:
     def test_three_four_five(self):
@@ -56,10 +84,8 @@ class TestSampleIndices:
 
     def test_full_branch_leaves_rng_untouched(self):
         rng = RngState(5)
-        before = rng.next_u64()
-        rng2 = RngState(5)
-        sample_indices(10, 10, rng2)
-        assert rng2.next_u64() == before
+        sample_indices(10, 10, rng)
+        assert words_taken(rng) == 0
 
     def test_distinct_subset(self):
         picked = sample_indices(100, 40, RngState(3))
@@ -106,7 +132,7 @@ def _pool_sample_indices(n, k, rng):
         return np.arange(n)
     pool = np.arange(n)
     for i in range(k):
-        j = i + rng.below(n - i)
+        j = i + below(rng, n - i)
         pool[i], pool[j] = pool[j], pool[i]
     picked = pool[:k]
     picked.sort()
@@ -117,15 +143,34 @@ class TestSparseSampleIndices:
     def test_matches_the_materialised_shuffle(self):
         cases = RngState(2027)
         for _ in range(1200):
-            seed = cases.next_u64()
-            n = 1 + cases.below(10 ** (1 + cases.below(5)))
-            k = 1 + cases.below(min(n + 2, 80))
+            seed = next_word(cases)
+            n = 1 + below(cases, 10 ** (1 + below(cases, 5)))
+            k = 1 + below(cases, min(n + 2, 80))
             got_rng, want_rng = RngState(seed), RngState(seed)
             got = sample_indices(n, k, got_rng)
             want = _pool_sample_indices(n, k, want_rng)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want), (seed, n, k)
             assert got_rng._state == want_rng._state
+
+    def test_rejected_words_are_skipped_as_word_by_word(self):
+        # a bound just above 2**62 rejects about a quarter of the words, so the draw runs
+        # past its block of k words; the index set and the generator state must be those
+        # of the rule that draws and rejects one word at a time
+        rejected = 0
+        for seed in range(200):
+            n, k = 2**62 + 1 + seed, 1 + seed % 40
+            got_rng, want_rng = RngState(seed), RngState(seed)
+            got = sample_indices(n, k, got_rng)
+            held = {}  # the materialised pool, held sparsely: range(n) does not fit
+            for i in range(k):
+                j = i + below(want_rng, n - i)
+                held[i], held[j] = held.get(j, j), held.get(i, i)
+            want = np.sort([held[i] for i in range(k)])
+            assert np.array_equal(got, want), (seed, n, k)
+            assert got_rng._state == want_rng._state
+            rejected += words_taken(got_rng) - k
+        assert rejected > 100
 
     def test_memory_does_not_grow_with_n(self):
         # the materialised pool at n = 10^7 would be 80 MB
@@ -143,14 +188,20 @@ class TestRngState:
     def test_identical_seeds_identical_streams(self):
         a = RngState(123)
         b = RngState(123)
-        assert [a.next_u64() for _ in range(50)] == [b.next_u64() for _ in range(50)]
+        assert np.array_equal(a.words(50), b.words(50))
 
     def test_block_matches_scalar_draws(self):
+        # blocks of any size continue one stream: that of the scalar reference
         scalar = RngState(9)
         block = RngState(9)
-        expected = [scalar.next_u64() for _ in range(17)]
-        got = [int(w) for w in block._block_u64(17)]
+        expected = [next_word(scalar) for _ in range(17)]
+        got = [int(w) for m in (1, 5, 0, 11) for w in block.words(m)]
         assert got == expected
+        assert block._state == scalar._state
+
+    def test_uniform_is_one_word_each(self):
+        words = RngState(2).words(6)
+        assert np.array_equal(RngState(2).uniform((2, 3)).ravel(), (words >> 11) * 2.0**-53)
 
     def test_uniform_range(self):
         u = RngState(1).uniform(1000)
@@ -187,8 +238,9 @@ class TestRngState:
         assert peak <= 2.5 * out.nbytes
 
     def test_below_is_unbiased_smoke(self):
+        # one index of range(3) is one rejection draw below 3, the draws of the word-by-word rule
         rng = RngState(77)
-        draws = [rng.below(3) for _ in range(9000)]
+        draws = [sample_indices(3, 1, rng)[0] for _ in range(9000)]
         counts = np.bincount(draws, minlength=3) / 9000
         assert np.all(np.abs(counts - 1 / 3) < 0.02)
 
@@ -206,7 +258,7 @@ class TestOpCounter:
         counter = OpCounter()
         rng = RngState(0)
         for step in range(1, 21):
-            counter.charge(step, int(rng.below(7)))
+            counter.charge(step, below(rng, 7))
         assert sum(c for _, c in counter.per_step_log) == counter.dot_products
 
     def test_monotone(self):
@@ -359,8 +411,7 @@ class TestSampleStore:
 
 def test_package_prng_is_splitmix64():
     # first outputs for seed 1234567 of the documented generator
-    rng = RngState(1234567)
-    z = rng.next_u64()
+    z = int(RngState(1234567).words(1)[0])
     s = (1234567 + 0x9E3779B97F4A7C15) & ((1 << 64) - 1)
     s = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & ((1 << 64) - 1)
     s = ((s ^ (s >> 27)) * 0x94D049BB133111EB) & ((1 << 64) - 1)

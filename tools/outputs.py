@@ -102,9 +102,16 @@ def _matrix() -> list:
     commands.append(("bench-lowrank-full", [
         "compare", "--synth", "lowrank", "--d", "500", "--n", "100", "--rank", "30", "--sigma",
         "0.05", "--seed", "42", "--mode", "adaptive-full", "--out", "out/bench-lowrank-full"]))
-    # a rejected command: the exit code and the message are compared too
+    # rejected commands: the exit code and the message are compared too
     commands.append(("space-limit-0", ["compare", *_FILES["u16be"], "--mode", "adaptive-limited",
                                        "--space-limit", "0", "--out", "out/space-limit-0"]))
+    commands.append(("repeated-seed", ["compare", *_SYNTH["lowrank"], "--mode",
+                                       "adaptive-stochastic", "--space-limit", "5",
+                                       "--processing-limit", "8", "--seeds", "1,1",
+                                       "--out", "out/repeated-seed"]))
+    commands.append(("unread-space-limit", ["compare", *_SYNTH["lowrank"], "--mode",
+                                            "adaptive-full", "--space-limit", "5",
+                                            "--out", "out/unread-space-limit"]))
     return commands
 
 
