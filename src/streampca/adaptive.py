@@ -233,10 +233,11 @@ def ingest(state: AdaptiveState, x_new) -> AdaptiveState:
     previous, new = rows[:k].T, rows[k]
     block = max(1, _DEFLATE_BLOCK_BYTES // rows[0].nbytes)
     part = np.empty((min(block, k + 1), state.dim))
-    bufsize = np.setbufsize(_STEP_BUFSIZE)
     try:
-        # an overflow shows up as a non-finite norm in normalize, so numpy need not warn
+        # an overflow shows up as a non-finite norm in normalize, so numpy need not warn.
+        # Leaving the block restores the caller's buffer size too, on a raise as well
         with np.errstate(over="ignore", invalid="ignore"):
+            np.setbufsize(_STEP_BUFSIZE)
             for i in range(updated):
                 v = state.components[i]
                 vt = update_component(v, previous, new)
@@ -263,19 +264,17 @@ def ingest(state: AdaptiveState, x_new) -> AdaptiveState:
     except (OverflowError, NonFiniteSampleError) as err:
         # OverflowError: the weight's Python float square in update_component
         raise NonFiniteSampleError(f"time-step {n + 1} overflows the update: {err}") from err
-    finally:
-        # restored by hand: leaving np.errstate undoes a setbufsize only on numpy >= 2.0
-        np.setbufsize(bufsize)
     # a trailing component this step did not update was orthogonalised only against
     # the old components, so it goes, and the residual (if any) takes its place. A
     # space of one updates nothing, and its lone component is orthonormal by itself
     basis.flags.writeable = False
     components = basis[:kept] if kept else state.components
-    # commit. Per updated component i: 2k + 2 in update_component, 1 for the share, i to
+    # commit, the store first: its append can still raise while it copies a writeable sample.
+    # Per updated component i: 2k + 2 in update_component, 1 for the share, i to
     # reorthogonalize (the paper's one Gram-Schmidt pass; the two block passes above do
     # 2i), 1 for the norm, k + 1 to deflate; 1 for the residual
-    state.counter.charge(n + 1, updated * (3 * k + 5) + updated * (updated - 1) // 2 + 1)
     state.store.append(x)
+    state.counter.charge(n + 1, updated * (3 * k + 5) + updated * (updated - 1) // 2 + 1)
     if kept == updated:
         state.degenerate_events.append((n + 1, position))
     state.components = components

@@ -1,7 +1,9 @@
 """Experiment runner.
 
-Subcommands reproduce the three experiment families end to end and emit
-plot-ready CSV artifacts plus a JSON run record:
+``main`` resolves the flags, loads the dataset once and runs the subcommand
+that argparse chose on it. Three subcommands reproduce the experiment
+families end to end as plot-ready CSV artifacts; every subcommand publishes
+a JSON run record, meta.json, whose ``wall_time_s`` counts from ``main``'s start:
 
 * ``compare``: explained-variance curves of batch PCA against a streaming
   mode (full, limited, stochastic, or the Oja baseline), with curve gaps.
@@ -118,30 +120,30 @@ def _write_meta(path: Path, meta: DatasetMeta, cfg: argparse.Namespace, extra: d
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
-def _publish(cfg: argparse.Namespace, meta: DatasetMeta, extra: dict, write) -> list:
+def _publish(cfg: argparse.Namespace, meta: DatasetMeta, extra: dict, write) -> dict:
     """Publish one run's artifacts and meta.json in ``cfg.output_dir``; returns their paths.
 
     ``write(staging)`` writes the artifacts into a scratch directory inside the output
-    directory, then meta.json records the run and ``extra``; the files are renamed into
-    place one at a time only after both, so a run that fails leaves the directory as it
-    was. A run killed during the renames leaves some new files beside older ones from an
-    earlier run, and a killed run can leave its ``.staging-*`` directory behind.
+    directory, then meta.json records the run, ``extra`` and ``wall_time_s``, the seconds
+    since ``main`` started (``cfg.started``). The files are renamed into place one at a
+    time only after both, so a run that fails leaves the directory as it was. A run killed
+    during the renames leaves some new files beside older ones from an earlier run, and a
+    killed run can leave its ``.staging-*`` directory behind.
     """
     out_dir = cfg.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix=".staging-", dir=out_dir) as tmp:
         write(Path(tmp))
-        _write_meta(Path(tmp) / "meta.json", meta, cfg, extra)
+        wall_time = {"wall_time_s": time.perf_counter() - cfg.started}
+        _write_meta(Path(tmp) / "meta.json", meta, cfg, {**extra, **wall_time})
         names = sorted(os.listdir(tmp))
         for name in names:
             os.replace(os.path.join(tmp, name), out_dir / name)
-    return [out_dir / name for name in names]
+    return {"paths": [out_dir / name for name in names]}
 
 
-def run_compare(cfg: argparse.Namespace) -> dict:
-    """Batch-vs-streaming comparison; writes curves.csv, gap.txt, meta.json."""
-    t0 = time.perf_counter()
-    store, meta = load_dataset(cfg)
+def run_compare(cfg: argparse.Namespace, store: SampleStore, meta: DatasetMeta) -> dict:
+    """Batch-vs-streaming comparison; writes curves.csv, gap.txt, meta.json, prints the gaps."""
     dot_totals: dict[str, int] = {}
 
     def streaming_curve(label: str, seed=None) -> CurveSeries:
@@ -162,30 +164,25 @@ def run_compare(cfg: argparse.Namespace) -> dict:
         space = EigenSpace(oja(store, cfg.learning_rate))
         curves.append(explained_variance(space, store, label="oja"))
 
-    gaps = {}
-    gap_lines = []
+    gaps, gap_lines = {}, []
     for c in curves[1:]:
-        gap = curve_gap(batch_curve, c)
+        gap = gaps[c.label] = curve_gap(batch_curve, c)
         m = min(len(batch_curve), len(c))
-        gaps[c.label] = gap
         gap_lines.append(f"{c.label} vs batch: {_fmt(gap)} pp (first {m} components)")
 
     def write(staging: Path) -> None:
         _write_curves_csv(staging / "curves.csv", curves)
         (staging / "gap.txt").write_text("\n".join(gap_lines) + "\n")
 
-    extra = {
-        "dot_products": dot_totals,
-        "gaps_pp": {k: float(v) for k, v in gaps.items()},
-        "wall_time_s": time.perf_counter() - t0,
-    }
-    return {"curves": curves, "gaps": gaps, "paths": _publish(cfg, meta, extra, write)}
+    extra = {"dot_products": dot_totals, "gaps_pp": {k: float(v) for k, v in gaps.items()}}
+    published = _publish(cfg, meta, extra, write)
+    for label, gap in gaps.items():
+        print(f"{label} vs batch: {gap:.4f} pp")
+    return published
 
 
-def run_eigenfunctions(cfg: argparse.Namespace) -> dict:
+def run_eigenfunctions(cfg: argparse.Namespace, store: SampleStore, meta: DatasetMeta) -> dict:
     """Score time series for selected components; writes eigenfunctions.csv."""
-    t0 = time.perf_counter()
-    store, meta = load_dataset(cfg)
     if cfg.mode in ("adaptive-full", "adaptive-limited"):
         space = run_adaptive(store, _adaptive_config(cfg, store)).eigenspace()
     else:
@@ -201,41 +198,31 @@ def run_eigenfunctions(cfg: argparse.Namespace) -> dict:
     def write(staging: Path) -> None:
         (staging / "eigenfunctions.csv").write_text("\n".join(lines) + "\n")
 
-    extra = {"wall_time_s": time.perf_counter() - t0}
-    return {"paths": _publish(cfg, meta, extra, write), "values": funcs}
+    return _publish(cfg, meta, {}, write)
 
 
-def run_counters(cfg: argparse.Namespace) -> dict:
+def run_counters(cfg: argparse.Namespace, store: SampleStore, meta: DatasetMeta) -> dict:
     """Per-step inner-product counts of one streaming run; writes counters.csv."""
-    t0 = time.perf_counter()
-    store, meta = load_dataset(cfg)
     seed = cfg.seeds[0] if cfg.seeds else None
     state = run_adaptive(store, _adaptive_config(cfg, store, seed))
-    lines = ["step,dot_products"]
-    for step, count in state.counter.per_step_log:
-        lines.append(f"{step},{count}")
+    lines = ["step,dot_products", *(f"{t},{count}" for t, count in state.counter.per_step_log)]
 
     def write(staging: Path) -> None:
         (staging / "counters.csv").write_text("\n".join(lines) + "\n")
 
-    extra = {
-        "dot_products": {"total": state.counter.dot_products},
-        "wall_time_s": time.perf_counter() - t0,
-    }
-    return {"paths": _publish(cfg, meta, extra, write), "log": state.counter.per_step_log}
+    return _publish(cfg, meta, {"dot_products": {"total": state.counter.dot_products}}, write)
 
 
-def run_synth_dump(cfg: argparse.Namespace, dtype: str, byte_order: str) -> dict:
+def run_synth_dump(cfg: argparse.Namespace, store: SampleStore, meta: DatasetMeta) -> dict:
     """Write a synthetic dataset as raw volume files plus a manifest."""
-    store, meta = load_dataset(cfg)
 
     def write(staging: Path) -> None:
-        raws = save_raw_volumes(store, staging, element_type=dtype, byte_order=byte_order)
+        raws = save_raw_volumes(store, staging, element_type=cfg.dtype, byte_order=cfg.byte_order)
         (staging / "manifest.txt").write_text("\n".join(p.name for p in raws) + "\n")
 
-    paths = _publish(cfg, meta, {"dtype": dtype}, write)
+    published = _publish(cfg, meta, {"dtype": cfg.dtype}, write)
     print(f"wrote {store.count} time-steps to {cfg.output_dir}")
-    return {"paths": paths}
+    return published
 
 
 def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
@@ -330,6 +317,8 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
         AdaptiveConfig(args.space_limit, STOCHASTIC_LIMIT if limit is None else limit)
     if args.command == "eigenfunctions" and (not args.components or min(args.components) < 1):
         raise ValueError(f"components {args.components} are empty or hold an entry below 1")
+    if len(set(args.components)) < len(args.components):
+        raise ValueError(f"components {args.components} repeat a component")
     args.dataset = _dataset_from_args(args)
     if args.command == "synth-dump" and args.dataset["kind"] != "synth":
         raise ValueError("synth-dump requires --synth")
@@ -377,31 +366,28 @@ def build_parser() -> argparse.ArgumentParser:
         "counters", parents=[common, run, stochastic], help="per-step inner-product counts"
     )
     counters.add_argument("--mode", choices=ADAPTIVE_MODES, default="adaptive-stochastic")
-    sub.add_parser("synth-dump", parents=[common], help="write a synthetic dataset as raw files")
+    dump = sub.add_parser(
+        "synth-dump", parents=[common], help="write a synthetic dataset as raw files"
+    )
     # meta.json records every setting; where a subcommand has no flag for one,
     # it records compare's default, or batch mode and no components
     parser.set_defaults(**{**vars(compare.parse_args([])), "mode": "batch", "components": []})
+    for subparser, runner in ((compare, run_compare), (eig, run_eigenfunctions),
+                              (counters, run_counters), (dump, run_synth_dump)):
+        subparser.set_defaults(run=runner)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Resolve the flags, load the dataset once and run the chosen subcommand on it."""
+    args = build_parser().parse_args(argv, argparse.Namespace(started=time.perf_counter()))
     try:
         cfg = _config_from_args(args)
-        if args.command == "compare":
-            result = run_compare(cfg)
-            for label, gap in result["gaps"].items():
-                print(f"{label} vs batch: {gap:.4f} pp")
-        elif args.command == "eigenfunctions":
-            run_eigenfunctions(cfg)
-        elif args.command == "counters":
-            run_counters(cfg)
-        elif args.command == "synth-dump":
-            run_synth_dump(cfg, args.dtype, args.byte_order)
-        return 0
+        cfg.run(cfg, *load_dataset(cfg))
     except (StreamPcaError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

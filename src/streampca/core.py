@@ -219,14 +219,13 @@ class RngState:
         u = (words >> np.uint64(11)).astype(np.float64) * _U53
         return u.reshape(size)
 
-    def gaussian(self, size=None):
+    def gaussian(self, size):
         """Standard normal draws via Box-Muller on the uniform stream.
 
         Pairs of stream words produce pairs of variates; the second variate
         of the final pair is discarded for odd counts.
         """
-        scalar = size is None
-        m = 1 if scalar else int(np.prod(size))
+        m = int(np.prod(size))
         pairs = (m + 1) // 2
         words = self.words(2 * pairs)
         # in place, so no more than two output-sized arrays are alive at once
@@ -246,8 +245,6 @@ class RngState:
         np.sin(theta, out=out[1::2])
         out[0::2] *= r
         out[1::2] *= r
-        if scalar:
-            return float(out[0])
         return out[:m].reshape(size)
 
 

@@ -398,6 +398,17 @@ class TestIngest:
         assert state.n == 9
         assert _snapshot(state) == _snapshot(reference)
 
+    def test_a_failed_append_leaves_state_unchanged(self):
+        # the store copies a writeable sample as the step commits, and that copy can fail
+        data = RngState(13).gaussian((6, 4))
+        state = initialize(data[:, 0], data[:, 1], AdaptiveConfig(4, 3, seed=1))
+        ingest(state, data[:, 2])
+        before = _snapshot(state)
+        with mock.patch.object(SampleStore, "append", side_effect=MemoryError):
+            with pytest.raises(MemoryError):
+                ingest(state, data[:, 3].copy())
+        assert _snapshot(state) == before
+
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32),

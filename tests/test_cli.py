@@ -254,6 +254,19 @@ class TestCompare:
             assert got == curve.values.tolist()
             assert got != _column(tmp_path / "raw" / "curves.csv", label)
 
+    def test_frames_dir_curves_match_library(self, tmp_path):
+        # --frames-dir reads the frames as load_pgm_sequence does, float for float
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        for t in range(10):
+            pixels = (np.arange(48) * 37 + 11 * t) % 256
+            (frames / f"f{t:02d}.pgm").write_bytes(b"P5\n8 6\n255\n" + bytes(pixels.tolist()))
+        argv = ["compare", "--frames-dir", str(frames), "--mode", "batch"]
+        assert main(argv + ["--out", str(tmp_path / "run")]) == 0
+        store, _ = streampca.load_pgm_sequence(frames)
+        batch = streampca.explained_variance(streampca.dual_pca(store), store)
+        assert _column(tmp_path / "run" / "curves.csv", "batch") == batch.values.tolist()
+
     def test_centred_limited_run_ends_one_component_short(self, tmp_path):
         # the run's last residual drops while its space is full, and the trailing component
         # the step did not update goes with it; kept, it broke the curve's [0, 1] bound
@@ -672,6 +685,8 @@ class TestErrors:
             (["counters", "--mode", "adaptive-full", "--space-limit", "5"], "takes no space_limit"),
             (["compare", "--mode", "adaptive-limited", "--learning-rate", "0.5"], "takes no learning_rate"),
             (["compare", "--mode", "batch", "--learning-rate", "0.01"], "takes no learning_rate"),
+            (["eigenfunctions", "--components", "2,1,2"], "repeat a component"),
+            (["eigenfunctions", "--components", "1,1"], "repeat a component"),
         ],
         ids=[
             "limited-with-limit", "empty-seeds", "counters-3-seeds", "full-with-seed", "dump",
@@ -680,6 +695,7 @@ class TestErrors:
             "repeated-seed", "repeated-seed-apart", "full-with-space", "oja-with-space",
             "eigenfunctions-batch-with-space", "eigenfunctions-full-with-space",
             "counters-full-with-space", "limited-with-rate", "batch-with-default-rate",
+            "repeated-component-apart", "repeated-component",
         ],
     )
     def test_flag_errors_come_before_any_data_is_read(
@@ -693,6 +709,18 @@ class TestErrors:
         dataset = ["--volumes", str(tmp_path / "none" / "*.raw"), "--shape", "4"]
         assert main(argv + dataset + ["--out", str(out)]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_volumes_without_shape_are_refused_before_any_data_is_read(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_load(cfg):
+            raise AssertionError("the dataset was read")
+
+        monkeypatch.setattr(cli, "load_dataset", no_load)
+        out = tmp_path / "run"
+        assert main(["compare", "--volumes", str(tmp_path / "*.raw"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: --volumes requires --shape\n"
         assert not out.exists()
 
     def test_parameter_the_generator_does_not_read(self, tmp_path, capsys):

@@ -90,6 +90,17 @@ class TestRawVolumes:
         assert [round(store[j][0] * 255) for j in range(2)] == [2, 1]
         assert read_manifest(manifest) == [tmp_path / "b.raw", tmp_path / "a.raw"]
 
+    def test_manifest_skips_blank_lines(self, tmp_path):
+        manifest = tmp_path / "order.txt"
+        manifest.write_text("\n  b.raw \n\n\t\na.raw\n\n")
+        assert read_manifest(manifest) == [tmp_path / "b.raw", tmp_path / "a.raw"]
+
+    def test_blank_manifest_lists_no_files(self, tmp_path):
+        manifest = tmp_path / "order.txt"
+        manifest.write_text("\n  \n\t\n")
+        with pytest.raises(EmptyDatasetError, match="lists no files"):
+            read_manifest(manifest)
+
     def test_raw_value_mode(self, tmp_path):
         (tmp_path / "a.raw").write_bytes(bytes([0, 128, 255, 64]))
         store, _ = load_raw_volumes(str(tmp_path / "*.raw"), (4,), "u8", scale=False)

@@ -112,6 +112,8 @@ def _matrix() -> list:
     commands.append(("unread-space-limit", ["compare", *_SYNTH["lowrank"], "--mode",
                                             "adaptive-full", "--space-limit", "5",
                                             "--out", "out/unread-space-limit"]))
+    commands.append(("repeated-component", ["eigenfunctions", *_SYNTH["lowrank"], "--components",
+                                            "1,2,1", "--out", "out/repeated-component"]))
     return commands
 
 
