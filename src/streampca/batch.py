@@ -63,24 +63,18 @@ class EigenSpace:
 
 
 RANK_TOL = 1e-10  # Gram eigenvalues at or below RANK_TOL * mu_max count as zero
-_CENTER_BLOCK_BYTES = 256 * 1024  # the largest row block `center` copies
 
 
 def center(store: SampleStore) -> SampleStore:
     """New store holding the samples minus their mean, in the same order.
 
     The one place a mean is subtracted: every routine takes its samples
-    as given, so pass ``center(store)`` for mean-subtracted PCA.
+    as given, so pass ``center(store)`` for mean-subtracted PCA. Each row
+    mean sums its row pairwise over one C-order copy (that rounding feeds
+    every step on the centred store), freed before the result is allocated.
     """
     x = store.matrix()
-    d, n = x.shape
-    means = np.empty(d)
-    rows = max(1, _CENTER_BLOCK_BYTES // (8 * max(n, 1)))
-    for lo in range(0, d, rows):
-        # a C-order copy of a row block: the row mean sums each row's contiguous values
-        # pairwise, as over a C-order copy of the whole store, and that rounding feeds
-        # every streaming step on the centred store
-        np.ascontiguousarray(x[lo : lo + rows]).mean(axis=1, out=means[lo : lo + rows])
+    means = np.ascontiguousarray(x).mean(axis=1)
     # column-major, so the new store adopts the result without a copy
     return SampleStore.from_matrix(np.subtract(x, means[:, None], order="F"))
 

@@ -125,10 +125,12 @@ def _publish(cfg: argparse.Namespace, meta: DatasetMeta, extra: dict, write) -> 
 
     ``write(staging)`` writes the artifacts into a scratch directory inside the output
     directory, then meta.json records the run, ``extra`` and ``wall_time_s``, the seconds
-    since ``main`` started (``cfg.started``). The files are renamed into place one at a
-    time only after both, so a run that fails leaves the directory as it was. A run killed
-    during the renames leaves some new files beside older ones from an earlier run, and a
-    killed run can leave its ``.staging-*`` directory behind.
+    since ``main`` started (``cfg.started``). Only after both are the files renamed into
+    place one at a time: first any meta.json already there is unlinked, and the new one
+    is renamed last. So a run that fails before the renames leaves the directory as it
+    was, and a directory that holds a meta.json holds that run's whole output. A run that
+    fails or is killed during the renames leaves some new files beside older ones from an
+    earlier run, with no meta.json, and a killed run can leave its ``.staging-*`` directory.
     """
     out_dir = cfg.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -136,7 +138,8 @@ def _publish(cfg: argparse.Namespace, meta: DatasetMeta, extra: dict, write) -> 
         write(Path(tmp))
         wall_time = {"wall_time_s": time.perf_counter() - cfg.started}
         _write_meta(Path(tmp) / "meta.json", meta, cfg, {**extra, **wall_time})
-        names = sorted(os.listdir(tmp))
+        names = sorted(os.listdir(tmp), key=lambda name: (name == "meta.json", name))
+        (out_dir / "meta.json").unlink(missing_ok=True)
         for name in names:
             os.replace(os.path.join(tmp, name), out_dir / name)
     return {"paths": [out_dir / name for name in names]}

@@ -33,11 +33,13 @@ class CurveSeries:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 1 or self.values.size == 0:
             raise ValueError("a curve needs a 1-D, non-empty value list")
+        lo, hi = np.min(self.values), np.max(self.values)
         # written so that a NaN, which fails every comparison, fails the range check too
-        if not (np.min(self.values) >= -1e-12 and np.max(self.values) <= 1.0 + 1e-9):
-            raise ValueError("curve values must lie in [0, 1]")
-        if self.values.size > 1 and np.min(np.diff(self.values)) < -1e-12:
-            raise ValueError("curve values must be non-decreasing")
+        if not (lo >= -1e-12 and hi <= 1.0 + 1e-9):
+            extreme = f"min {lo:.4g}" if lo < -1e-12 else f"max {hi:.4g}"
+            raise ValueError(f"curve {self.label!r} values must lie in [0, 1]; {extreme}")
+        if self.values.size > 1 and (step := np.min(np.diff(self.values))) < -1e-12:
+            raise ValueError(f"curve {self.label!r} values must be non-decreasing; step {step:.4g}")
 
     def __len__(self) -> int:
         return self.values.size
@@ -54,15 +56,14 @@ def explained_variance(space: EigenSpace, store: SampleStore, label: str = "") -
     how the store lays its samples out. Finite samples whose total
     overflows float64 raise NonFiniteSampleError. The call reads the store
     in place and allocates the (components, steps) scores, which are
-    ``eigenfunctions(space, store)``, and one d-vector.
+    ``eigenfunctions(space, store)``, and one sample's squares at a time.
     """
     scores = eigenfunctions(space, store)
     if store.count < 2:
         raise DegenerateDataError(f"need at least 2 samples, have {store.count}")
-    squares = np.empty(store.dim)
     try:
         with np.errstate(over="ignore"):
-            total = math.fsum(float(np.square(x, out=squares).sum()) for x in store)
+            total = math.fsum(float(np.square(x).sum()) for x in store)
     except OverflowError:  # fsum's own sum of finite terms overflowed
         total = math.inf
     if not math.isfinite(total):

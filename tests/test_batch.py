@@ -81,7 +81,8 @@ class TestGram:
     ids=["cascade", "blob", "lowrank", "full-rank"],
 )
 def test_center_holds_its_result_and_one_block(generator, d, n, params):
-    # the centred result, which the new store adopts, and one C-order row block
+    # the centred result, which the new store adopts; the C-order copy behind the row
+    # means is freed before that result is allocated
     store, _ = synth(generator, d, n, params=params, seed=9)
     tracemalloc.start()
     try:
@@ -298,6 +299,10 @@ class TestEigenSpaceInvariants:
     def test_rejects_increasing_eigenvalues(self):
         with pytest.raises(ValueError):
             EigenSpace(np.eye(2), eigenvalues=[1.0, 2.0])
+
+    def test_rejects_one_eigenvalue_for_two_components(self):
+        with pytest.raises(DimensionMismatchError):
+            EigenSpace(np.eye(2), eigenvalues=[1.0])
 
     def test_rejects_negative_eigenvalues(self):
         with pytest.raises(ValueError):

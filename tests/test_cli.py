@@ -558,6 +558,34 @@ class TestNoPartialArtifacts:
         assert (out / "curves.csv").read_bytes() == earlier
         assert not list(out.glob(".staging-*"))
 
+    def test_failed_rename_leaves_no_meta_json(self, tmp_path, capsys):
+        # a rename that fails part way leaves new files but no meta.json, so a
+        # directory that holds a meta.json holds one run's whole output
+        out = tmp_path / "out"
+        argv = ["compare", "--synth", "lowrank", "--d", "20", "--out", str(out)]
+        assert main(argv + ["--n", "12", "--mode", "batch"]) == 0
+        (out / "gap.txt").unlink()
+        (out / "gap.txt").mkdir()
+        assert main(argv + ["--n", "13", "--mode", "adaptive-full"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (out / "meta.json").exists()
+        assert (out / "gap.txt").is_dir()
+        assert not list(out.glob(".staging-*"))
+
+    def test_meta_json_is_renamed_last(self, tmp_path, monkeypatch):
+        renamed = []
+        replace = os.replace
+
+        def recording_replace(src, dst):
+            renamed.append(Path(dst).name)
+            replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", recording_replace)
+        argv = ["synth-dump", "--synth", "cascade", "--d", "8", "--n", "3"]
+        assert main(argv + ["--out", str(tmp_path / "dump")]) == 0
+        steps = [f"step_{t:04d}.raw" for t in range(3)]
+        assert renamed == ["manifest.txt", *steps, "meta.json"]
+
     def test_failed_synth_dump_publishes_no_raw_files(self, tmp_path, monkeypatch):
         original = cli.save_raw_volumes
 

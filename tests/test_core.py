@@ -63,6 +63,10 @@ class TestNormalize:
     def test_axis_vector(self):
         assert np.allclose(normalize([0, -2, 0]), [0, -1, 0], atol=1e-15)
 
+    def test_rejects_a_matrix(self):
+        with pytest.raises(DimensionMismatchError):
+            normalize(np.eye(2))
+
     def test_unit_norm(self):
         v = normalize([1.0, 2.0, 3.0, 4.0])
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
@@ -283,6 +287,21 @@ class TestSampleStore:
         store = SampleStore(3)
         with pytest.raises(DimensionMismatchError):
             store.append([1, 2])
+
+    def test_rejects_a_dimension_below_one(self):
+        with pytest.raises(ValueError):
+            SampleStore(0)
+
+    def test_from_matrix_rejects_a_vector(self):
+        with pytest.raises(DimensionMismatchError):
+            SampleStore.from_matrix(np.ones(3))
+
+    def test_empty_store_matrix(self):
+        # no samples: a (dim, 0) array, or ``out`` itself as given
+        store = SampleStore(3)
+        assert store.matrix().shape == (3, 0)
+        out = np.empty((3, 0))
+        assert store.matrix(columns=[], out=out) is out
 
     def test_widens_to_float64(self):
         store = SampleStore(2)

@@ -38,6 +38,17 @@ class TestRawVolumes:
         assert meta.shape == (2, 2, 2)
         assert meta.steps == 1
 
+    @pytest.mark.parametrize(
+        "flags", [{"element_type": "f64"}, {"byte_order": "middle"}], ids=["f64", "middle"]
+    )
+    def test_unknown_element_type_or_byte_order_is_refused_before_any_file_is_read(
+        self, tmp_path, monkeypatch, flags
+    ):
+        (tmp_path / "a.raw").write_bytes(bytes(8))
+        monkeypatch.setattr(data_module, "_load_files", lambda *a, **k: pytest.fail("read"))
+        with pytest.raises(ValueError):
+            load_raw_volumes(str(tmp_path / "*.raw"), (8,), **flags)
+
     def test_size_mismatch_names_file(self, tmp_path):
         (tmp_path / "bad.raw").write_bytes(bytes(range(7)))
         with pytest.raises(MalformedFileError) as err:

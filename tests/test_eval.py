@@ -94,6 +94,11 @@ class TestExplainedVariance:
         with pytest.raises(DimensionMismatchError):
             explained_variance(space, store)
 
+    def test_one_sample(self):
+        store = SampleStore.from_matrix(np.ones((3, 1)))
+        with pytest.raises(DegenerateDataError):
+            explained_variance(EigenSpace(np.eye(3)), store)
+
 
 class TestReadsTheStoreInPlace:
     # d=2000, n=100, 10 components: a restacked copy of the store would be 1.6 MB
@@ -258,11 +263,26 @@ class TestSubspaceOverlap:
         with pytest.raises(ValueError):
             subspace_overlap(a, a, 2)
 
+    def test_dim_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            subspace_overlap(EigenSpace(np.eye(2)), EigenSpace(np.eye(3)), 1)
+
 
 class TestCurveSeriesInvariants:
     def test_rejects_decreasing(self):
         with pytest.raises(ValueError):
             CurveSeries([0.5, 0.4])
+
+    def test_errors_name_the_label_and_the_extreme(self):
+        # the largest value out of range, the smallest below it, and the most negative step
+        for values, message in (
+            ([0.5, 1.368], "curve 'adaptive' values must lie in [0, 1]; max 1.368"),
+            ([-0.25, 1.5], "curve 'adaptive' values must lie in [0, 1]; min -0.25"),
+            ([0.5, 0.4, 0.45, 0.2], "curve 'adaptive' values must be non-decreasing; step -0.25"),
+        ):
+            with pytest.raises(ValueError) as err:
+                CurveSeries(values, label="adaptive")
+            assert str(err.value) == message
 
     def test_rejects_above_one(self):
         # a non-finite value fails the same range check
