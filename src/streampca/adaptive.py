@@ -20,6 +20,7 @@ A single-component Oja baseline is included for comparison.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -192,25 +193,28 @@ def ingest(state: AdaptiveState, x_new) -> AdaptiveState:
     built from the (sampled) previous samples plus the new sample, every
     maintained component is updated and re-normalized, and the summed
     residual of the fully deflated workspace becomes the trailing
-    component. Each updated component is
-    re-orthogonalised against the ones updated before it by two block
-    classical Gram-Schmidt passes (two matrix-vector products each), and
-    is written into a row of one fresh array that, sliced to the rows
-    kept, becomes ``state.components``. The workspace is sample-major, one
-    row per sample, so each component's rank-1 deflation runs along
-    contiguous d-long rows, in place; ``update_component`` sees its (d, k)
-    transpose. The deflation's product goes through one buffer of at most
-    256 KiB, and the step runs under a ufunc buffer size of 1024 elements
-    (the caller's size is restored on exit), so that numpy does not buffer
-    the product's rows. A residual whose norm is at or below
+    component. Each updated component is re-orthogonalised against the
+    ones updated before it by two block classical Gram-Schmidt passes (two
+    matrix-vector products each; ``state.counter`` is charged the paper's
+    one pass), and is written into a row of one fresh array that, sliced
+    to the rows kept, becomes ``state.components``. The workspace is
+    sample-major, one row per sample, so each component's rank-1 deflation
+    runs along contiguous d-long rows, in place; ``update_component`` sees
+    its (d, k) transpose. The deflation's product goes through one buffer
+    of at most 256 KiB, allocated once per step, and the step runs under a
+    ufunc buffer size of ``_STEP_BUFSIZE`` elements (the caller's size is
+    restored on exit and on a raise), so that numpy does not buffer the
+    product's rows. A residual whose norm is at or below
     ``core.DEGENERATE_TOL`` is dropped and logged in
-    ``state.degenerate_events`` as (time-step, component position), and
-    a full space's trailing component, which the step does not update,
-    goes with it; the space regrows on later steps. A space of one
-    keeps its lone component instead. A finite sample so
-    large that the step overflows raises NonFiniteSampleError. The state
-    changes only once the whole step has succeeded, so any raised error
-    leaves it as it was.
+    ``state.degenerate_events`` as (time-step, component position), and a
+    full space's trailing component, which the step does not update, goes
+    with it; the space regrows on later steps. A centred deterministic
+    limited run whose space is full ends this way, because its last
+    workspace sums to zero: it ends one component short of the space
+    limit. A space of one keeps its lone component instead. A finite
+    sample so large that the step overflows raises NonFiniteSampleError.
+    The state changes only once the whole step has succeeded, so any
+    raised error leaves it as it was.
     The step inherits ``update_component``'s s^-6 dependence on the units.
     """
     x = as_sample(x_new, state.dim)
@@ -286,7 +290,9 @@ def run_adaptive(samples, config: AdaptiveConfig) -> AdaptiveState:
     """Feed a whole sample sequence through the streaming update.
 
     ``samples`` is a SampleStore or any iterable of equal-length vectors
-    with at least two entries, consumed in time order.
+    with at least two entries, consumed in time order. The state's store
+    shares the samples of a store built by ``SampleStore.from_matrix`` (and
+    so by ``synth``, ``center`` and the loaders) rather than copying them.
     """
     iterator = iter(samples)
     try:
@@ -300,16 +306,22 @@ def run_adaptive(samples, config: AdaptiveConfig) -> AdaptiveState:
     return state
 
 
+def check_learning_rate(learning_rate: float) -> None:
+    """Raise ValueError unless 0 < ``learning_rate`` < inf, the rule for ``oja``'s step size."""
+    if not 0 < learning_rate < math.inf:  # NaN fails it too
+        raise ValueError(f"learning rate must be positive and finite, got {learning_rate}")
+
+
 def oja(samples, learning_rate: float) -> np.ndarray:
     """Single-component Oja baseline: the unit component after the stream.
 
     Starts from the normalized first sample and applies
-    v <- normalize(v + learning_rate * <x, v> x) for every later one. Every
-    sample must pass ``core.as_sample``, at the first one's length; an
-    overflowing step raises NonFiniteSampleError.
+    v <- normalize(v + learning_rate * <x, v> x) for every later one. The
+    rate must pass ``check_learning_rate``. Every sample must pass
+    ``core.as_sample``, at the first one's length; an overflowing step
+    raises NonFiniteSampleError.
     """
-    if learning_rate <= 0:
-        raise ValueError(f"learning rate must be positive, got {learning_rate}")
+    check_learning_rate(learning_rate)
     iterator = iter(samples)
     first = next(iterator, None)
     if first is None:

@@ -101,10 +101,12 @@ def sym_eig(m):
     """Full eigendecomposition of a symmetric matrix by LAPACK ``eigh``.
 
     Returns (eigenvalues, eigenvectors): eigenvalues sorted descending and
-    eigenvectors as the matching columns of an orthonormal matrix. Raises
-    DimensionMismatchError for an empty or non-square input, ValueError
-    for a non-finite or asymmetric matrix and ConvergenceError when LAPACK
-    does not converge.
+    eigenvectors as the matching columns of an orthonormal matrix. ``eigh``
+    reads one triangle of the matrix as given, with no symmetrising copy;
+    the finiteness and symmetry checks share one n x n buffer, freed before
+    ``eigh`` runs. Raises DimensionMismatchError for an empty or non-square
+    input, ValueError for a non-finite or asymmetric matrix and
+    ConvergenceError when LAPACK does not converge.
     """
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
@@ -135,7 +137,8 @@ def dual_pca(store: SampleStore) -> EigenSpace:
     components X u (normalized) with eigenvalue mu / (n - 1), ordered by
     descending eigenvalue. Raises DegenerateDataError for fewer than two
     samples or samples that carry no variance. No mean is subtracted;
-    pass ``center(store)`` for that.
+    pass ``center(store)`` for that. The store is read in place; the call
+    allocates the n x n Gram and eigenvectors and its result.
     """
     g = gram(store)
     mu, u = sym_eig(g)

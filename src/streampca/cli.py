@@ -29,7 +29,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .adaptive import AdaptiveConfig, oja, run_adaptive
+from .adaptive import AdaptiveConfig, check_learning_rate, oja, run_adaptive
 from .batch import EigenSpace, center, dual_pca
 from .core import SampleStore, StreamPcaError
 from .data import (
@@ -65,7 +65,10 @@ def _int_list(text: str) -> list:
 
 
 def load_dataset(cfg: argparse.Namespace) -> tuple[SampleStore, DatasetMeta]:
-    """Materialize the configured dataset, check processing_limit < n, pre-center if asked."""
+    """Materialize the configured dataset, check processing_limit < n, pre-center if asked.
+
+    A centred run gets the centred store alone, so it does not keep the raw one.
+    """
     ds = cfg.dataset
     kind = ds["kind"]
     if kind == "synth":
@@ -146,7 +149,11 @@ def _publish(cfg: argparse.Namespace, meta: DatasetMeta, extra: dict, write) -> 
 
 
 def run_compare(cfg: argparse.Namespace, store: SampleStore, meta: DatasetMeta) -> dict:
-    """Batch-vs-streaming comparison; writes curves.csv, gap.txt, meta.json, prints the gaps."""
+    """Batch-vs-streaming comparison; writes curves.csv, gap.txt, meta.json, prints the gaps.
+
+    It holds the dataset, the batch curve and one streaming run at a time: each run's
+    state is freed once its curve is taken, so memory does not grow with the seeds.
+    """
     dot_totals: dict[str, int] = {}
 
     def streaming_curve(label: str, seed=None) -> CurveSeries:
@@ -267,7 +274,10 @@ def _dataset_from_args(args) -> dict:
     if args.volumes:
         if not args.shape:
             raise ValueError("--volumes requires --shape")
-        shape = tuple(int(s) for s in args.shape.split(","))
+        try:
+            shape = tuple(int(s) for s in args.shape.split(","))
+        except ValueError:
+            raise ValueError(f"--shape {args.shape!r} is not a comma-separated integer list") from None
         return {
             "kind": "volumes",
             "pattern": args.volumes,
@@ -318,6 +328,8 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     if args.space_limit is not None:  # AdaptiveConfig holds the limits' lower bound
         limit = args.processing_limit
         AdaptiveConfig(args.space_limit, STOCHASTIC_LIMIT if limit is None else limit)
+    if args.learning_rate is not None:
+        check_learning_rate(args.learning_rate)
     if args.command == "eigenfunctions" and (not args.components or min(args.components) < 1):
         raise ValueError(f"components {args.components} are empty or hold an entry below 1")
     if len(set(args.components)) < len(args.components):

@@ -269,7 +269,8 @@ class OpCounter:
 
 def normalize(v) -> np.ndarray:
     """Return v / ||v||, raising DegenerateVectorError when ||v|| <= DEGENERATE_TOL
-    and NonFiniteSampleError when ||v|| is not finite."""
+    and NonFiniteSampleError when ||v|| is not finite. The one place the package
+    compares a norm with DEGENERATE_TOL."""
     vec = _as_vector(v)
     with np.errstate(over="ignore", invalid="ignore"):
         nrm = math.sqrt(float(vec @ vec))

@@ -98,11 +98,13 @@ def _time_ordered(pattern, manifest) -> list[Path]:
 def _load_files(pattern, manifest, name: str, read, **source) -> tuple[SampleStore, DatasetMeta]:
     """Read the time-ordered files (see ``_time_ordered``) into one store.
 
-    ``read(path)`` returns a file's typed values, shape, element type and
-    divisor (``None`` keeps the values as they are). Each file's values are
-    written into one column of a column-major float64 matrix, which widens
-    them exactly, and that column is divided in place; the store adopts the
-    matrix, so the dataset is one read-only buffer. The first file sets the
+    ``read(path)`` returns a file's typed values (read in place from its
+    bytes), shape, element type and divisor (``None`` keeps the values as
+    they are). Each file's values are written into one column of a
+    column-major float64 matrix, which widens them exactly, and that column
+    is divided in place, so no float64 copy of a file exists besides its
+    column; the store adopts the matrix, so the dataset is one read-only
+    buffer. The one place file bytes become samples. The first file sets the
     dataset's shape and element type, and every later one must have its
     shape. ``source`` completes the meta's file record.
     """
@@ -139,9 +141,13 @@ def load_raw_volumes(
 
     Each file must hold exactly prod(shape) elements of the declared type;
     a size mismatch names the offending file. Files are taken in
-    lexicographic order (or manifest order when given).
+    lexicographic order (or manifest order when given). An empty shape, or
+    one with an entry below 1, raises ValueError before any file is read,
+    as does an unknown element type or byte order.
     """
     shape = tuple(int(s) for s in shape)
+    if not shape or min(shape) < 1:
+        raise ValueError(f"shape {shape} must hold one or more entries, each at least 1")
     dt, maxval = _element_dtype(element_type, byte_order)
     divisor = maxval if scale else None
     expected_bytes = int(np.prod(shape)) * dt.itemsize
@@ -196,7 +202,8 @@ _PGM_HEADER = re.compile(
 
 def _read_pgm(path: Path, scale: bool) -> tuple[np.ndarray, tuple, str, int | None]:
     """Parse one binary PGM; returns its typed pixels, its (height, width), its
-    element type and its divisor (maxval when ``scale`` is set, else ``None``)."""
+    element type and its divisor (maxval when ``scale`` is set, else ``None``).
+    The header is one match of ``_PGM_HEADER``, in time linear in its length."""
     payload = path.read_bytes()
     header = _PGM_HEADER.match(payload)
     if header is None and payload[:2] != b"P5":
@@ -245,6 +252,12 @@ _GENERATOR_PARAMS = {
     "cascade": {"rank": 20, "sigma": 0.01, "decay": 0.85},
 }
 GENERATORS = tuple(_GENERATOR_PARAMS)
+# the parameters that must be more than finite: how the error words the rule, and the rule
+_PARAM_RULES = {
+    "rank": ("an integer >= 1", lambda v: v >= 1 and v == int(v)),
+    "sigma": ("finite and >= 0", lambda v: v >= 0),
+    "width_frac": ("finite and > 0", lambda v: v > 0),
+}
 
 
 def synth(
@@ -273,8 +286,11 @@ def synth(
     Random entries are drawn from the seeded in-repo generator in a fixed
     order (spatial patterns first, then temporal coefficients, then
     noise, each row-major), so a (generator, params, seed) triple is
-    bit-reproducible. A parameter the generator does not read is a
-    ValueError.
+    bit-reproducible. Every parameter is checked before any number is
+    drawn: one the generator does not read, one that is not finite, a
+    ``rank`` that is not an integer >= 1, a negative ``sigma`` and a
+    ``width_frac`` at or below 0 raise ValueError naming the generator,
+    the parameter and its value.
     """
     if generator not in GENERATORS:
         raise ValueError(f"unknown generator {generator!r}; choose from {GENERATORS}")
@@ -285,6 +301,10 @@ def synth(
         if key not in defaults:
             raise ValueError(f"{generator} takes no parameter {key!r}; it reads {sorted(defaults)}")
     params = {**defaults, **(params or {})}
+    for key, value in params.items():
+        rule, holds = _PARAM_RULES.get(key, ("finite", math.isfinite))
+        if not (math.isfinite(value) and holds(value)):
+            raise ValueError(f"{generator} parameter {key!r} must be {rule}, got {value}")
     rng = RngState(seed)
     shape = (d,)
 

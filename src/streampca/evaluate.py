@@ -24,6 +24,9 @@ class CurveSeries:
 
     The fractions are of the samples the curve was measured on, as given;
     a curve of ``center(store)`` is a curve of mean-subtracted samples.
+    The values are finite, lie in [0, 1] and do not decrease, within
+    rounding; a curve that breaks either rule raises ValueError naming its
+    label and the offending extreme or step.
     """
 
     values: np.ndarray

@@ -783,6 +783,12 @@ class TestOja:
         with pytest.raises(DimensionMismatchError):
             oja([[1.0, 0.0], [1.0, 0.0, 0.0]], 0.1)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -1.0, 0.0])
+    def test_rejects_rate_that_is_not_positive_and_finite(self, rate):
+        # NaN passes a test of rate <= 0, and a NaN or infinite step gives a NaN component
+        with pytest.raises(ValueError, match=f"positive and finite, got {rate}"):
+            oja([[1.0, 0.0], [1.0, 1.0]], rate)
+
 
 def _overflowing_step(space, scale):
     cfg = AdaptiveConfig(space_limit=space, processing_limit=5)

@@ -1,7 +1,9 @@
 import csv
 import gc
+import importlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -715,6 +717,9 @@ class TestErrors:
             (["compare", "--mode", "batch", "--learning-rate", "0.01"], "takes no learning_rate"),
             (["eigenfunctions", "--components", "2,1,2"], "repeat a component"),
             (["eigenfunctions", "--components", "1,1"], "repeat a component"),
+            (["compare", "--mode", "oja", "--learning-rate", "nan"], "positive and finite, got nan"),
+            (["compare", "--mode", "oja", "--learning-rate", "inf"], "positive and finite, got inf"),
+            (["compare", "--mode", "oja", "--learning-rate", "-1"], "positive and finite, got -1.0"),
         ],
         ids=[
             "limited-with-limit", "empty-seeds", "counters-3-seeds", "full-with-seed", "dump",
@@ -723,7 +728,8 @@ class TestErrors:
             "repeated-seed", "repeated-seed-apart", "full-with-space", "oja-with-space",
             "eigenfunctions-batch-with-space", "eigenfunctions-full-with-space",
             "counters-full-with-space", "limited-with-rate", "batch-with-default-rate",
-            "repeated-component-apart", "repeated-component",
+            "repeated-component-apart", "repeated-component", "oja-rate-nan", "oja-rate-inf",
+            "oja-rate-negative",
         ],
     )
     def test_flag_errors_come_before_any_data_is_read(
@@ -749,6 +755,32 @@ class TestErrors:
         out = tmp_path / "run"
         assert main(["compare", "--volumes", str(tmp_path / "*.raw"), "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: --volumes requires --shape\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            ("-20", "shape (-20,) must hold one or more entries, each at least 1"),
+            ("0", "shape (0,) must hold one or more entries, each at least 1"),
+            ("4,,5", "--shape '4,,5' is not a comma-separated integer list"),
+        ],
+    )
+    def test_bad_shape_is_refused_before_any_file_is_read(
+        self, tmp_path, capsys, monkeypatch, shape, message
+    ):
+        (tmp_path / "step_0.raw").write_bytes(bytes(80))
+        monkeypatch.setattr(streampca.data, "_load_files", lambda *a, **k: pytest.fail("read"))
+        out = tmp_path / "run"
+        argv = ["compare", "--volumes", str(tmp_path / "step_*.raw"), "--shape", shape]
+        assert main(argv + ["--mode", "batch", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_non_finite_synthetic_parameter_publishes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        argv = ["compare", "--synth", "lowrank", "--d", "20", "--n", "12", "--sigma", "nan"]
+        assert main(argv + ["--mode", "batch", "--out", str(out)]) == 1
+        assert "lowrank parameter 'sigma' must be finite and >= 0, got nan" in capsys.readouterr().err
         assert not out.exists()
 
     def test_parameter_the_generator_does_not_read(self, tmp_path, capsys):
@@ -835,6 +867,24 @@ def test_readme_examples_parse():
         cfg = cli._config_from_args(args)
         if cfg.mode == "adaptive-stochastic":  # the one rule that needs the data
             assert cfg.processing_limit < args.n
+
+
+def test_readme_module_map_matches_the_package():
+    # one short row per module, citing only names its module has, so a rename cannot
+    # leave the map stale; each name's docstring holds the detail
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## Module map\n", 1)[1]
+    rows = list(re.finditer(r"^\| `streampca\.(\w+)` \| (.*) \|$", table, re.M))
+    package = Path(streampca.__file__).parent
+    modules = sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__")
+    assert sorted(row[1] for row in rows) == modules
+    for row in rows:
+        assert len(row[0]) <= 200, f"the {row[1]} row has {len(row[0])} characters"
+        module = importlib.import_module(f"streampca.{row[1]}")
+        for cited in re.findall(r"`([^`]*)`", row[2]):
+            name = re.fullmatch(r"([A-Za-z_]\w*)(?:\(.*\))?", cited)
+            assert name, f"the {row[1]} row cites {cited!r}, which is not a name"
+            assert hasattr(module, name[1]), f"streampca.{row[1]} has no {name[1]!r}"
 
 
 def test_public_names_resolve():

@@ -1,3 +1,5 @@
+import math
+import re
 import time
 import tracemalloc
 
@@ -48,6 +50,15 @@ class TestRawVolumes:
         monkeypatch.setattr(data_module, "_load_files", lambda *a, **k: pytest.fail("read"))
         with pytest.raises(ValueError):
             load_raw_volumes(str(tmp_path / "*.raw"), (8,), **flags)
+
+    @pytest.mark.parametrize("shape", [(), (-20,), (0,), (4, 0, 5)])
+    def test_empty_shape_or_entry_below_one_is_refused_before_any_file_is_read(
+        self, tmp_path, monkeypatch, shape
+    ):
+        (tmp_path / "a.raw").write_bytes(bytes(80))
+        monkeypatch.setattr(data_module, "_load_files", lambda *a, **k: pytest.fail("read"))
+        with pytest.raises(ValueError, match="each at least 1"):
+            load_raw_volumes(str(tmp_path / "*.raw"), shape)
 
     def test_size_mismatch_names_file(self, tmp_path):
         (tmp_path / "bad.raw").write_bytes(bytes(range(7)))
@@ -397,6 +408,32 @@ class TestSynth:
         monkeypatch.setattr(data_module, "RngState", no_draw)
         with pytest.raises(ValueError, match=f"{gen} takes no parameter '{key}'"):
             synth(gen, d=36, n=8, params={key: 1.0})
+
+    @pytest.mark.parametrize(
+        "gen, key, value, rule",
+        [
+            ("lowrank", "sigma", math.nan, "finite and >= 0"),
+            ("lowrank", "sigma", -1.0, "finite and >= 0"),
+            ("cascade", "sigma", -1.0, "finite and >= 0"),
+            ("cascade", "sigma", math.inf, "finite and >= 0"),
+            ("lowrank", "rank", 0, "an integer >= 1"),
+            ("lowrank", "rank", 2.5, "an integer >= 1"),
+            ("cascade", "rank", math.nan, "an integer >= 1"),
+            ("traveling_wave", "speed", math.inf, "finite"),
+            ("cascade", "decay", math.nan, "finite"),
+            ("rotating_blob", "radius_frac", -math.inf, "finite"),
+            ("rotating_blob", "width_frac", 0.0, "finite and > 0"),
+            ("rotating_blob", "width_frac", math.nan, "finite and > 0"),
+        ],
+    )
+    def test_rejects_parameter_value_before_any_draw(self, monkeypatch, gen, key, value, rule):
+        def no_draw(seed):
+            raise AssertionError("the generator drew numbers")
+
+        monkeypatch.setattr(data_module, "RngState", no_draw)
+        message = f"{gen} parameter '{key}' must be {rule}, got {value}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            synth(gen, d=36, n=8, params={key: value})
 
     def test_size_preconditions(self):
         with pytest.raises(ValueError):
