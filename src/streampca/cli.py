@@ -3,7 +3,8 @@
 ``main`` resolves the flags, loads the dataset once and runs the subcommand
 that argparse chose on it. Three subcommands reproduce the experiment
 families end to end as plot-ready CSV artifacts; every subcommand publishes
-a JSON run record, meta.json, whose ``wall_time_s`` counts from ``main``'s start:
+a JSON run record, meta.json, whose ``wall_time_s`` counts from ``main``'s start
+and whose ``numeric_environment`` names the numpy, BLAS and BLAS thread settings:
 
 * ``compare``: explained-variance curves of batch PCA against a streaming
   mode (full, limited, stochastic, or the Oja baseline), with curve gaps.
@@ -27,6 +28,8 @@ import tempfile
 import time
 from dataclasses import asdict
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .adaptive import AdaptiveConfig, check_learning_rate, oja, run_adaptive
@@ -117,9 +120,23 @@ def _write_curves_csv(path: Path, curves: list) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _numeric_environment() -> dict:
+    """What besides the run's settings decides the CSVs' last bits: the numpy version, the
+    BLAS numpy was built with, and the variables that set the BLAS thread count, as set
+    (None when unset)."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    return {
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        **{name: os.environ.get(name) for name in threads},
+    }
+
+
 def _write_meta(path: Path, meta: DatasetMeta, cfg: argparse.Namespace, extra: dict) -> None:
     config = {name: getattr(cfg, name) for name in RECORDED}
     record = {"version": __version__, "dataset": asdict(meta), "config": config, **extra}
+    record["numeric_environment"] = _numeric_environment()
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 

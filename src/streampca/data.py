@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import RngState, SampleStore, StreamPcaError
+from .core import NonFiniteSampleError, RngState, SampleStore, StreamPcaError
 
 
 class MalformedFileError(StreamPcaError):
@@ -290,7 +290,9 @@ def synth(
     drawn: one the generator does not read, one that is not finite, a
     ``rank`` that is not an integer >= 1, a negative ``sigma`` and a
     ``width_frac`` at or below 0 raise ValueError naming the generator,
-    the parameter and its value.
+    the parameter and its value. A finite parameter so extreme that the
+    data overflows or is not finite (say ``decay=1e200``) raises ValueError
+    naming the generator and every parameter.
     """
     if generator not in GENERATORS:
         raise ValueError(f"unknown generator {generator!r}; choose from {GENERATORS}")
@@ -305,6 +307,25 @@ def synth(
         rule, holds = _PARAM_RULES.get(key, ("finite", math.isfinite))
         if not (math.isfinite(value) and holds(value)):
             raise ValueError(f"{generator} parameter {key!r} must be {rule}, got {value}")
+    try:
+        # an overflow raises: as a Python float, under this errstate in numpy, or, where a
+        # BLAS thread leaves an infinity unflagged, at from_matrix's scan of the data
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            store, shape = _generate(generator, d, n, params, seed)
+    except (OverflowError, FloatingPointError, NonFiniteSampleError) as err:
+        raise ValueError(f"{generator} parameters {params} give no finite data: {err}") from None
+    meta = DatasetMeta(
+        name=generator,
+        shape=shape,
+        element_type="f32",
+        steps=n,
+        source={"kind": "synthetic", "generator": generator, "params": params, "seed": seed},
+    )
+    return store, meta
+
+
+def _generate(generator: str, d: int, n: int, params: dict, seed: int) -> tuple[SampleStore, tuple]:
+    """The store of a checked ``synth`` call's (d, n) data matrix, and its frame shape."""
     rng = RngState(seed)
     shape = (d,)
 
@@ -350,15 +371,7 @@ def synth(
             b[i] = decay**i * np.sin(2.0 * np.pi * 0.5 * (i + 1) * t / n + phases[i])
         x = _plus_noise(a, b, sigma, rng)
 
-    store = SampleStore.from_matrix(x)
-    meta = DatasetMeta(
-        name=generator,
-        shape=shape,
-        element_type="f32",
-        steps=n,
-        source={"kind": "synthetic", "generator": generator, "params": params, "seed": seed},
-    )
-    return store, meta
+    return SampleStore.from_matrix(x), shape
 
 
 def _plus_noise(a, b, sigma: float, rng: RngState) -> np.ndarray:

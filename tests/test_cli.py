@@ -5,6 +5,7 @@ import json
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 import weakref
@@ -30,6 +31,14 @@ def _column(path, name):
     header, rows = _read_csv(path)
     i = header.index(name)
     return [float(r[i]) for r in rows if r[i] != ""]
+
+
+def _child_env():
+    # a child process imports the same package as this process, also when pytest
+    # put src/ on sys.path itself (pyproject's pythonpath) rather than PYTHONPATH
+    src = str(Path(streampca.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 class TestCompare:
@@ -503,35 +512,23 @@ class TestCounters:
 
 class TestSynthDump:
     def test_dump_and_reload(self, tmp_path):
-        out = tmp_path / "dump"
-        rc = main(
-            [
-                "synth-dump",
-                "--synth", "rotating_blob",
-                "--d", "36",
-                "--n", "5",
-                "--seed", "2",
-                "--out", str(out),
-            ]
-        )
-        assert rc == 0
-        assert (out / "manifest.txt").exists()
-        raws = sorted(out.glob("*.raw"))
-        assert len(raws) == 5
-        run_out = tmp_path / "run"
-        rc = main(
-            [
-                "compare",
-                "--volumes", str(out / "*.raw"),
-                "--shape", "6,6",
-                "--dtype", "f32",
-                "--mode", "batch",
-                "--out", str(run_out),
-            ]
-        )
-        assert rc == 0
-        batch = _column(run_out / "curves.csv", "batch")
-        assert abs(batch[-1] - 1.0) <= 1e-9
+        # the same --dtype and --byte-order write the files and read them back; the curve
+        # is the library's of the files, so a flag the CLI dropped would move it
+        for dtype, byte_order in (("f32", "little"), ("u16", "big")):
+            out, run_out = tmp_path / dtype / "dump", tmp_path / dtype / "run"
+            encoding = ["--dtype", dtype, "--byte-order", byte_order]
+            dataset = ["--synth", "rotating_blob", "--d", "36", "--n", "5", "--seed", "2"]
+            assert main(["synth-dump", *dataset, *encoding, "--out", str(out)]) == 0
+            assert (out / "manifest.txt").exists()
+            raws = sorted(out.glob("*.raw"))
+            assert len(raws) == 5
+            volumes = ["--volumes", str(out / "*.raw"), "--shape", "6,6", *encoding]
+            assert main(["compare", *volumes, "--mode", "batch", "--out", str(run_out)]) == 0
+            batch = _column(run_out / "curves.csv", "batch")
+            assert abs(batch[-1] - 1.0) <= 1e-9
+            store, _ = streampca.load_raw_volumes(str(out / "*.raw"), (6, 6), dtype, byte_order)
+            library = streampca.explained_variance(streampca.dual_pca(store), store)
+            assert batch == library.values.tolist()
 
 
 class TestNoPartialArtifacts:
@@ -573,6 +570,32 @@ class TestNoPartialArtifacts:
         assert not (out / "meta.json").exists()
         assert (out / "gap.txt").is_dir()
         assert not list(out.glob(".staging-*"))
+
+    def test_run_killed_between_renames_leaves_no_meta_json(self, tmp_path):
+        # a child compare kills itself right after its first rename, the new curves.csv:
+        # the earlier run's meta.json is gone, so no meta.json vouches for mixed files
+        out = tmp_path / "out"
+        argv = ["compare", "--synth", "lowrank", "--d", "20", "--n", "12", "--mode", "batch"]
+        assert main(argv + ["--out", str(out)]) == 0
+        earlier = (out / "curves.csv").read_bytes()
+        child = (
+            "import os, signal, sys\n"
+            "from streampca import cli\n"
+            "replace = os.replace\n"
+            "def replace_then_die(src, dst):\n"
+            "    replace(src, dst)\n"
+            "    os.kill(os.getpid(), signal.SIGKILL)\n"
+            "os.replace = replace_then_die\n"
+            "cli.main(sys.argv[1:])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child, *argv, "--seed", "1", "--out", str(out)],
+            capture_output=True,
+            env=_child_env(),
+        )
+        assert proc.returncode == -signal.SIGKILL
+        assert not (out / "meta.json").exists()
+        assert (out / "curves.csv").read_bytes() != earlier
 
     def test_meta_json_is_renamed_last(self, tmp_path, monkeypatch):
         renamed = []
@@ -783,6 +806,16 @@ class TestErrors:
         assert "lowrank parameter 'sigma' must be finite and >= 0, got nan" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_synthetic_parameter_publishes_nothing(self, tmp_path, capsys):
+        # a finite decay whose powers overflow is one error that names the parameters
+        out = tmp_path / "run"
+        argv = ["compare", "--synth", "cascade", "--d", "20", "--n", "12", "--decay", "1e200"]
+        assert main(argv + ["--mode", "batch", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: cascade parameters {'rank': 20, 'sigma': 0.01, 'decay': 1e+200} give no finite data"
+        )
+        assert not out.exists()
+
     def test_parameter_the_generator_does_not_read(self, tmp_path, capsys):
         out = tmp_path / "run"
         argv = ["compare", "--synth", "traveling_wave", "--rank", "5", "--sigma", "0.3"]
@@ -832,16 +865,29 @@ def test_meta_records_null_for_settings_the_mode_does_not_read(
     assert (config["space_limit"], config["learning_rate"]) == (space_limit, learning_rate)
 
 
+def test_meta_records_the_numeric_environment(tmp_path, monkeypatch):
+    # the settings besides the run's own that decide the CSVs' last bits, as this process has them
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = tmp_path / "run"
+    argv = ["compare", "--synth", "lowrank", "--d", "20", "--n", "12", "--mode", "batch"]
+    assert main(argv + ["--out", str(out)]) == 0
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert json.loads((out / "meta.json").read_text())["numeric_environment"] == {
+        "numpy": np.__version__,
+        "blas": {"name": blas["name"], "version": blas["version"]},
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": "3",
+        "MKL_NUM_THREADS": None,
+    }
+
+
 def test_console_entry_point_runs():
-    # the child imports the same package as this process, also when pytest
-    # put src/ on sys.path itself (pyproject's pythonpath) rather than PYTHONPATH
-    src = str(Path(streampca.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "streampca.cli", "--help"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert "compare" in proc.stdout

@@ -435,6 +435,32 @@ class TestSynth:
         with pytest.raises(ValueError, match=re.escape(message)):
             synth(gen, d=36, n=8, params={key: value})
 
+    @pytest.mark.parametrize(
+        "gen, key, value, cause",
+        [
+            ("cascade", "decay", 1e200, "Numerical result out of range"),
+            ("traveling_wave", "speed", 1e308, "overflow encountered"),
+            ("rotating_blob", "width_frac", 1e-200, "divide by zero encountered"),
+            ("rotating_blob", "radius_frac", 1e300, "overflow encountered"),
+        ],
+    )
+    def test_extreme_finite_parameter_is_one_named_error(self, gen, key, value, cause):
+        # finite, so the parameter checks pass it, but the data overflows: no warning
+        # escapes, and the error names the generator and every parameter
+        params = {**data_module._GENERATOR_PARAMS[gen], key: value}
+        message = f"{gen} parameters {params} give no finite data: "
+        with pytest.raises(ValueError, match=re.escape(message) + ".*" + cause):
+            synth(gen, d=36, n=12, params={key: value})
+
+    def test_non_finite_data_is_one_named_error(self, monkeypatch):
+        # an infinity that raised no floating-point error is found by the store's scan
+        x = np.ones((8, 4))
+        x[5, 2] = np.inf
+        monkeypatch.setattr(data_module, "_plus_noise", lambda *args: x)
+        message = "lowrank parameters {'rank': 5, 'sigma': 0.1} give no finite data: time-step 3 "
+        with pytest.raises(ValueError, match=re.escape(message)):
+            synth("lowrank", d=8, n=4, params={"sigma": 0.1})
+
     def test_size_preconditions(self):
         with pytest.raises(ValueError):
             synth("lowrank", d=3, n=10)

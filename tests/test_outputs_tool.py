@@ -1,6 +1,7 @@
 """Smoke test of ``tools/outputs.py``: the checkout compared with itself on a tiny matrix."""
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -34,3 +35,11 @@ def test_the_checkout_matches_itself_and_a_moved_cell_shows(tmp_path):
     assert identical == 5 and len(moved) == 1
     assert moved[0].startswith("out/f32/curves.csv: moved, largest relative move ")
     assert 0.0 < float(moved[0].rsplit(" ", 1)[1]) <= 2.0**-52
+
+    # a meta.json that moved names the keys that differ
+    meta = tmp_path / "b" / "out" / "f32" / "meta.json"
+    record = json.loads(meta.read_text())
+    record["version"] = "0.0.0"
+    meta.write_text(json.dumps(record))
+    identical, moved = outputs.compare(tmp_path / "a", tmp_path / "b", *results)
+    assert identical == 4 and moved[1] == "out/f32/meta.json: moved, keys version differ"

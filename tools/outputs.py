@@ -17,8 +17,9 @@ move the last bits of the Gram, and so the CSV cells.
 
 Every output file is compared byte for byte, meta.json without its
 ``wall_time_s``; so are each command's exit code, stdout and stderr. For
-each file that moved, the largest relative move over its numeric cells is
-printed. The exit status is 0 when everything is identical, else 1.
+each meta.json that moved, the top-level keys that differ are printed, and
+for each other file the largest relative move over its numeric cells. The
+exit status is 0 when everything is identical, else 1.
 """
 
 from __future__ import annotations
@@ -114,6 +115,10 @@ def _matrix() -> list:
                                             "--out", "out/unread-space-limit"]))
     commands.append(("repeated-component", ["eigenfunctions", *_SYNTH["lowrank"], "--components",
                                             "1,2,1", "--out", "out/repeated-component"]))
+    for name, flags in (("overflowing-decay", ["--synth", "cascade", "--decay", "1e200"]),
+                        ("overflowing-speed", ["--synth", "traveling_wave", "--speed", "1e308"])):
+        commands.append((name, ["compare", *flags, "--d", "20", "--n", "12", "--mode", "batch",
+                                "--out", f"out/{name}"]))
     return commands
 
 
@@ -201,6 +206,11 @@ def compare(run_a: Path, run_b: Path, results_a: dict, results_b: dict) -> tuple
         a, b = _comparable(run_a / rel), _comparable(run_b / rel)
         if a == b:
             identical += 1
+        elif rel.name == "meta.json":
+            record_a, record_b = json.loads(a), json.loads(b)
+            keys = sorted(k for k in record_a.keys() | record_b.keys()
+                          if record_a.get(k) != record_b.get(k))
+            lines.append(f"{rel}: moved, keys {', '.join(keys)} differ")
         elif rel.suffix == ".raw":
             differ = sum(x != y for x, y in zip(a, b)) + abs(len(a) - len(b))
             lines.append(f"{rel}: moved, {differ} of {max(len(a), len(b))} bytes differ")
